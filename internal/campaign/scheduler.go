@@ -86,12 +86,12 @@ type Observer interface {
 }
 
 // Runner executes one resolved job. The default runner is spec.Run —
-// simulate in process — but a coordinator replaces it with a dispatcher
-// that ships the job to a fleet worker over HTTP (internal/fleet), so
-// the whole scheduler pipeline (priority queue, coalescing, memo, store
-// write-through) is reused unchanged for distributed execution. A
-// Runner must be safe for concurrent use: up to Workers() calls run at
-// once.
+// simulate in process. Tests and benchmarks substitute their own (a
+// synthetic result, or spec.Run wrapped in timing) to exercise or
+// measure the scheduler pipeline — priority queue, coalescing, memo,
+// store write-through — without depending on what a simulation costs.
+// A Runner must be safe for concurrent use: up to Workers() calls run
+// at once.
 type Runner func(rs spec.RunSpec) (spec.RunResult, error)
 
 // JobState is the lifecycle position of a scheduled job.

@@ -397,10 +397,10 @@ func TestCloseDuringSubmitCancelStorm(t *testing.T) {
 }
 
 // TestSetRunnerRoutesExecution checks SetRunner redirects job execution
-// away from spec.Run — the seam the fleet coordinator uses to dispatch
-// jobs to remote workers — while coalescing and memoization still apply
+// away from spec.Run — the seam tests and benchmarks use to substitute
+// or time the executor — while coalescing and memoization still apply
 // in front of it: one runner call per unique key, and the runner's
-// result (not a local simulation) is what waiters receive.
+// result (not a simulation) is what waiters receive.
 func TestSetRunnerRoutesExecution(t *testing.T) {
 	s := NewScheduler(2, nil)
 	defer s.Close()

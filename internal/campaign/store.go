@@ -42,8 +42,9 @@ type Record struct {
 	TraceSums [][]float64     `json:"trace_sums"`
 }
 
-// NewRecord snapshots a successful result for persistence — exported so
-// warm-up tooling and tests can seed a store without a scheduler.
+// NewRecord snapshots a successful result for persistence: the
+// scheduler writes one through to its store per fresh simulation, and
+// tests use it to seed a store without running a scheduler.
 func NewRecord(key string, res spec.RunResult) Record {
 	cluster := ""
 	if res.Spec.Cluster != nil {
@@ -64,11 +65,6 @@ func NewRecord(key string, res spec.RunResult) Record {
 		TraceSums: res.Trace.Sums(),
 	}
 }
-
-// Result reconstructs the RunResult a record was snapshotted from —
-// exported for the fleet dispatcher, which receives Records over the
-// worker HTTP API and must reject malformed ones as retryable faults.
-func (r Record) Result() (spec.RunResult, bool) { return r.result() }
 
 // result reconstructs the RunResult a record was snapshotted from. It
 // reports false for records of a different format generation or with a

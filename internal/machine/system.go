@@ -198,10 +198,10 @@ func (s *System) Compute(p *sim.Proc, rank int, ph Phase) {
 	start := p.Now()
 	var l3Flow, memFlow *sim.Flow
 	if ph.BytesL3 > 0 {
-		l3Flow = s.l3Res[dom].StartFlow(ph.BytesL3, nil)
+		l3Flow = s.l3Res[dom].StartFlowArg(ph.BytesL3, nil, nil)
 	}
 	if ph.BytesMem > 0 {
-		memFlow = s.memRes[dom].StartFlow(ph.BytesMem, nil)
+		memFlow = s.memRes[dom].StartFlowArg(ph.BytesMem, nil, nil)
 	}
 	s.bound[rank] = computeBound{until: start + tFixed, l3: l3Flow, mem: memFlow}
 	if tFixed > 0 {

@@ -221,24 +221,10 @@ func (n *Network) Transfer(p *sim.Proc, src, dst int, bytes float64) {
 		n.shmem[src].Transfer(p, 2*bytes)
 		return
 	}
-	out := n.nicOut[src].StartFlow(bytes, nil)
-	in := n.nicIn[dst].StartFlow(bytes, nil)
+	out := n.nicOut[src].StartFlowArg(bytes, nil, nil)
+	in := n.nicIn[dst].StartFlowArg(bytes, nil, nil)
 	out.Await(p)
 	in.Await(p)
-}
-
-// callFunc adapts a captured func() to the static-callback transfer path.
-func callFunc(a any) { a.(func())() }
-
-// StartTransfer begins an asynchronous transfer and invokes done at the
-// destination when the bytes have fully arrived; the closure-capturing
-// convenience form of StartTransferArg.
-func (n *Network) StartTransfer(src, dst int, bytes float64, done func()) {
-	if done == nil {
-		n.StartTransferArg(src, dst, bytes, nil, nil)
-		return
-	}
-	n.StartTransferArg(src, dst, bytes, callFunc, done)
 }
 
 // pairXfer joins the legs of one inter-node transfer: the last byte

@@ -200,7 +200,7 @@ func TestStartTransferAsyncCompletion(t *testing.T) {
 	want := 1.0 + HDR100().InterNodeLatency
 	var arrived float64
 	e.Spawn("driver", func(p *sim.Proc) {
-		n.StartTransfer(0, 1, 12.5*units.G, func() { arrived = e.Now() })
+		n.StartTransferArg(0, 1, 12.5*units.G, func(any) { arrived = e.Now() }, nil)
 		// Sender continues immediately; do other things.
 		p.Wait(0.1)
 	})

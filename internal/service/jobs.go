@@ -10,7 +10,6 @@ import (
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/campaign"
-	"github.com/spechpc/spechpc-sim/internal/fleet"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/spec"
@@ -164,10 +163,10 @@ func (js *jobSub) status(withResult bool) jobStatus {
 // its own id but shares the single simulation.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var jr jobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
+		writeError(w, bodyStatus(err), "decoding job request: %v", err)
 		return
 	}
 	rs, err := jr.runSpec()
@@ -180,32 +179,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job: %v", err)
 		return
 	}
-	// Front door: rate limits and queue-depth shedding, with the
-	// degraded-mode escape hatch when a surrogate is attached. A
-	// Degrade verdict retargets the submission at the fast tier; if the
-	// surrogate cannot answer this query (no model, out of hull), the
-	// submission sheds like any other — the exact queue is saturated.
-	canDegrade := s.opts.Degraded && s.opts.Surrogate != nil && !rs.KeepTrace
-	degrade, ok := s.admit(w, r, jr.Priority, canDegrade)
-	if !ok {
-		return
-	}
-	if degrade {
-		mode = campaign.Fast
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ticket := s.sched.SubmitMode(ctx, rs, jr.Priority, mode)
-	if degrade {
-		if _, answered := ticket.Surrogate(); !answered {
-			ticket.Cancel()
-			cancel()
-			s.admission.NoteDegradeShed()
-			shed(w, fleet.DefaultRetryAfter)
-			return
-		}
-		s.admission.NoteDegraded()
-		w.Header().Set("X-Degraded", "surrogate")
-	}
 
 	s.mu.Lock()
 	s.nextJob++

@@ -159,15 +159,9 @@ func (run *scenarioRun) status() scenarioStatus {
 // scheduler, and starts a renderer goroutine that draws each sweep as
 // its results land. The response is immediate: poll the returned id.
 func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	// Scenarios are bulk load (priority 0) and expand to whole sweeps,
-	// so they hit the tighter bulk lane and never degrade: a partially
-	// surrogate-answered figure would be misleading.
-	if _, ok := s.admit(w, r, 0, false); !ok {
+		writeError(w, bodyStatus(err), "reading body: %v", err)
 		return
 	}
 	s.mu.Lock()

@@ -12,17 +12,10 @@
 // restarts, so a repeated query costs a disk read. cmd/spechpcd is the
 // daemon front end.
 //
-// With a fleet.Coordinator attached (Options.Fleet) the same server is
-// the fleet front door: submissions shard across registered workers by
-// campaign key, and the /api/v1/fleet/* routes carry the membership,
-// dispatch, and shared-store protocol (see docs/FLEET.md). Admission
-// control (Options.Admission) gates the public submission routes with
-// per-client token buckets and queue-depth shedding.
-//
 // Endpoints (all under the mux returned by Handler):
 //
 //	GET    /healthz                       liveness probe
-//	GET    /readyz                        readiness probe (store+scheduler+workers)
+//	GET    /readyz                        readiness probe (503 while draining)
 //	GET    /statsz                        scheduler + store counters
 //	GET    /api/v1/benchmarks             registered kernels
 //	GET    /api/v1/clusters               registered clusters
@@ -38,16 +31,11 @@
 //	GET    /api/v1/scenarios/{id}/output  rendered plots/tables (streams)
 //	GET    /api/v1/scenarios/{id}/artifacts        CSV artifact list
 //	GET    /api/v1/scenarios/{id}/artifacts/{name} one CSV artifact
-//	POST   /api/v1/fleet/run              execute one dispatched job (worker)
-//	POST   /api/v1/fleet/register         enrol a worker (coordinator)
-//	POST   /api/v1/fleet/heartbeat        refresh worker liveness (coordinator)
-//	GET    /api/v1/fleet/workers          worker health snapshot (coordinator)
-//	GET    /api/v1/fleet/store/{key}      read one shared-store record
-//	PUT    /api/v1/fleet/store/{key}      write one shared-store record
 package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -59,7 +47,6 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	_ "github.com/spechpc/spechpc-sim/internal/benchmarks/suite" // register all kernels
 	"github.com/spechpc/spechpc-sim/internal/campaign"
-	"github.com/spechpc/spechpc-sim/internal/fleet"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/sim/psim"
@@ -82,18 +69,6 @@ type Options struct {
 	// submissions may be answered from its fitted models, and /statsz
 	// gains a surrogate block. Nil serves every query exactly.
 	Surrogate *surrogate.Index
-	// Fleet makes this server a coordinator: the scheduler's runner is
-	// replaced by the coordinator's dispatcher (fresh simulations run on
-	// registered workers, not in process), the fleet membership routes
-	// come alive, and /readyz requires at least one non-dead worker.
-	Fleet *fleet.Coordinator
-	// Admission tunes the front-door gate on the public submission
-	// routes; the zero value admits everything.
-	Admission fleet.AdmissionConfig
-	// Degraded lets saturation-time job submissions fall back to the
-	// surrogate fast tier (mode=fast with an error bound) instead of
-	// being shed — only effective with a Surrogate attached.
-	Degraded bool
 }
 
 // Server serves the campaign scheduler over HTTP. Construct with New;
@@ -117,9 +92,8 @@ type Server struct {
 	storeStats   *statszStore
 	storeStatsAt time.Time
 
-	admission *fleet.Admission
-	// draining flips first in Close: /readyz goes unready and dispatched
-	// fleet jobs are refused while in-flight work still completes.
+	// draining flips first in Close: /readyz goes unready while
+	// in-flight work still completes.
 	draining atomic.Bool
 }
 
@@ -129,16 +103,12 @@ func New(sched *campaign.Scheduler, opts Options) *Server {
 	if opts.Surrogate != nil {
 		sched.SetPredictor(opts.Surrogate)
 	}
-	if opts.Fleet != nil {
-		sched.SetRunner(opts.Fleet.Runner())
-	}
 	return &Server{
-		sched:     sched,
-		engine:    campaign.NewWithScheduler(sched),
-		opts:      opts,
-		jobs:      map[string]*jobSub{},
-		runs:      map[string]*scenarioRun{},
-		admission: fleet.NewAdmission(opts.Admission),
+		sched:  sched,
+		engine: campaign.NewWithScheduler(sched),
+		opts:   opts,
+		jobs:   map[string]*jobSub{},
+		runs:   map[string]*scenarioRun{},
 	}
 }
 
@@ -220,12 +190,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/scenarios/{id}/output", s.handleScenarioOutput)
 	mux.HandleFunc("GET /api/v1/scenarios/{id}/artifacts", s.handleScenarioArtifacts)
 	mux.HandleFunc("GET /api/v1/scenarios/{id}/artifacts/{name}", s.handleScenarioArtifact)
-	mux.HandleFunc("POST "+fleet.RunPath, s.handleFleetRun)
-	mux.HandleFunc("POST "+fleet.RegisterPath, s.handleFleetRegister)
-	mux.HandleFunc("POST "+fleet.HeartbeatPath, s.handleFleetHeartbeat)
-	mux.HandleFunc("GET "+fleet.WorkersPath, s.handleFleetWorkers)
-	mux.HandleFunc("GET "+fleet.StorePathPrefix+"{key}", s.handleFleetStoreGet)
-	mux.HandleFunc("PUT "+fleet.StorePathPrefix+"{key}", s.handleFleetStorePut)
 	return mux
 }
 
@@ -254,9 +218,37 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps every request body the service reads: a job or
+// scenario document is a few KiB, so anything near this size is abuse
+// and must not be buffered in full before validation rejects it.
+const maxBodyBytes = 1 << 20
+
+// bodyStatus maps a request-body read or decode error onto its HTTP
+// status: 413 once the body exceeds maxBodyBytes, else 400.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleHealthz is the liveness probe.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// handleReadyz is the readiness probe — distinct from /healthz
+// liveness: a live process may still be unable to do useful work. Ready
+// means the scheduler is accepting (not draining, not closed). Load
+// balancers use this to pull a draining daemon out of rotation while
+// /healthz still answers ok.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.draining.Load() || s.sched.Closed() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // statszResponse is the /statsz schema. The campaign counter names
@@ -273,12 +265,6 @@ type statszResponse struct {
 	// Surrogate is present when an analytic surrogate index is attached
 	// (Options.Surrogate).
 	Surrogate *statszSurrogate `json:"surrogate,omitempty"`
-	// Admission counts front-door outcomes (always present; all zero
-	// with the gate disabled).
-	Admission fleet.AdmissionStats `json:"admission"`
-	// Fleet is present in coordinator mode: worker health plus dispatch
-	// retry/reshard counters.
-	Fleet *statszFleet `json:"fleet,omitempty"`
 	// Psim is the process-wide partitioned-engine window accounting:
 	// how many runs used the parallel engine, how many windows they
 	// executed, and how far the adaptive oracle widened them.
@@ -296,17 +282,6 @@ type statszPsim struct {
 	IdleParts       int64   `json:"idle_partition_windows"`
 	WidestWindow    float64 `json:"widest_window_s"`
 	NarrowestWindow float64 `json:"narrowest_window_s"`
-}
-
-// statszFleet is the coordinator's worker-health and dispatch view.
-type statszFleet struct {
-	WorkersAlive   int    `json:"workers_alive"`
-	WorkersSuspect int    `json:"workers_suspect"`
-	WorkersDead    int    `json:"workers_dead"`
-	Dispatched     uint64 `json:"dispatched"`
-	Retries        uint64 `json:"retries"`
-	Resharded      uint64 `json:"resharded"`
-	NoWorkers      uint64 `json:"no_workers"`
 }
 
 type statszCampaign struct {
@@ -367,16 +342,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Scenarios:  runs,
 	}
 	resp.Store = s.storeUsage()
-	resp.Admission = s.admission.Stats()
-	if c := s.opts.Fleet; c != nil {
-		alive, suspect, dead := c.Registry.Counts()
-		ds := c.Dispatcher.Stats()
-		resp.Fleet = &statszFleet{
-			WorkersAlive: alive, WorkersSuspect: suspect, WorkersDead: dead,
-			Dispatched: ds.Dispatched, Retries: ds.Retries,
-			Resharded: ds.Resharded, NoWorkers: ds.NoWorkers,
-		}
-	}
 	if idx := s.opts.Surrogate; idx != nil {
 		fitted, families := idx.Models()
 		hits, refused, noModel, observed := idx.Counters()

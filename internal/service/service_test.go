@@ -418,6 +418,62 @@ func TestScenarioValidationAndCancel(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap posts a body just over the cap to each submission
+// route: both must refuse it with 413 before validation runs, instead of
+// buffering it in full (jobs) or truncating it into a parse error
+// (scenarios).
+func TestRequestBodyCap(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	huge := strings.Repeat("x", maxBodyBytes+4096)
+	for _, tc := range []struct{ path, body string }{
+		{"/api/v1/jobs", `{"benchmark":"` + huge + `","cluster":"A","ranks":1}`},
+		{"/api/v1/scenarios", `{"name":"x","title":"` + huge + `"}`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", tc.path, len(tc.body), rec.Code)
+		}
+	}
+}
+
+// TestReadyzLifecycle walks the readiness probe through a standalone
+// server's life: ready while serving, unready (but still live) once
+// draining begins.
+func TestReadyzLifecycle(t *testing.T) {
+	srv, ts, _ := newTestServer(t, nil)
+
+	if resp := doJSON(t, http.MethodGet, ts.URL+"/readyz", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz while serving = %d, want 200", resp.StatusCode)
+	}
+	srv.Close() // drain
+	if resp := doJSON(t, http.MethodGet, ts.URL+"/readyz", "", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("readyz while draining = %d, want 503", resp.StatusCode)
+	}
+	if resp := doJSON(t, http.MethodGet, ts.URL+"/healthz", "", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz while draining = %d; liveness must outlast readiness", resp.StatusCode)
+	}
+}
+
+// TestFleetEndpointsAbsentStandalone checks the daemon registers no
+// /api/v1/fleet/ route: one process runs every job, so no path accepts
+// dispatched work, worker membership, or remote store traffic.
+func TestFleetEndpointsAbsentStandalone(t *testing.T) {
+	_, ts, _ := newTestServer(t, nil)
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPost, "/api/v1/fleet/run"},
+		{http.MethodPost, "/api/v1/fleet/register"},
+		{http.MethodPost, "/api/v1/fleet/heartbeat"},
+		{http.MethodGet, "/api/v1/fleet/workers"},
+		{http.MethodGet, "/api/v1/fleet/store/k"},
+		{http.MethodPut, "/api/v1/fleet/store/k"},
+	} {
+		if resp := doJSON(t, rt.method, ts.URL+rt.path, "{}", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+}
+
 // TestStatszStore checks the store block appears when a DirStore backs
 // the scheduler and counts persisted records.
 func TestStatszStore(t *testing.T) {

@@ -13,7 +13,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(1, nop)
+		e.AfterArg(1, nop, nil)
 		if err := e.RunUntil(e.Now() + 1); err != nil {
 			b.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func BenchmarkNowQueueFire(b *testing.B) {
 	e := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(0, nop)
+		e.AfterArg(0, nop, nil)
 		if err := e.RunUntil(e.Now()); err != nil {
 			b.Fatal(err)
 		}

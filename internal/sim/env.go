@@ -230,19 +230,11 @@ func (e *Env) allocSlot(t float64) int32 {
 // releaseSlot clears a detached slot's references and recycles its index.
 func (e *Env) releaseSlot(idx int32) {
 	s := &e.slots[idx]
-	s.fn, s.proc, s.proc2, s.flow = nil, nil, nil, nil
+	s.proc, s.proc2, s.flow = nil, nil, nil
 	s.fnArg, s.arg = nil, nil
 	s.dead = false
 	s.pos = posDetached
 	e.freeSlots = append(e.freeSlots, idx)
-}
-
-// schedule inserts a callback event at absolute time t.
-func (e *Env) schedule(t float64, fn func()) Event {
-	idx := e.allocSlot(t)
-	s := &e.slots[idx]
-	s.kind, s.fn = evFn, fn
-	return Event{env: e, idx: idx, gen: s.gen}
 }
 
 // scheduleArg inserts a static-callback event at absolute time t. The
@@ -296,18 +288,11 @@ func (e *Env) retimeFlow(ev Event, t float64, f *Flow) Event {
 	return e.scheduleFlow(t, f)
 }
 
-// At schedules fn to run at absolute virtual time t. The callback runs on
-// the scheduler and must not block in virtual time; use Spawn for blocking
-// logic.
-func (e *Env) At(t float64, fn func()) Event { return e.schedule(t, fn) }
-
-// After schedules fn to run d seconds after the current time.
-func (e *Env) After(d float64, fn func()) Event { return e.schedule(e.now+d, fn) }
-
-// AtArg schedules fn(arg) to run at absolute virtual time t. Unlike At,
-// the callback carries its state in arg, so callers passing a top-level
-// function allocate nothing — the closure-free variant for hot paths
-// (MPI protocol events fire once per message).
+// AtArg schedules fn(arg) to run at absolute virtual time t. The
+// callback runs on the scheduler and must not block in virtual time;
+// use Spawn for blocking logic. It carries its state in arg, so callers
+// passing a top-level function allocate nothing (MPI protocol events
+// fire once per message).
 func (e *Env) AtArg(t float64, fn func(any), arg any) Event { return e.scheduleArg(t, fn, arg) }
 
 // AfterArg schedules fn(arg) to run d seconds after the current time; see
@@ -539,14 +524,11 @@ func (e *Env) peekNext() (int32, bool, bool) {
 func (e *Env) dispatch(idx int32) {
 	s := &e.slots[idx]
 	kind := s.kind
-	fn := s.fn
 	fnArg, arg := s.fnArg, s.arg
 	p, p2, flow := s.proc, s.proc2, s.flow
 	s.gen += 2 // fired: handles go stale with even parity (not cancelled)
 	e.releaseSlot(idx)
 	switch kind {
-	case evFn:
-		fn()
 	case evFnArg:
 		fnArg(arg)
 	case evStart:

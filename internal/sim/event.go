@@ -15,12 +15,13 @@
 // index-based min-heap plus a FIFO "now queue" for events scheduled at
 // the current timestamp. Events are typed — process starts, timed-wait
 // resumes, wakes, and flow completions are dispatched directly on the
-// scheduler without per-event closures; only user callbacks (Env.At,
-// Env.After) carry a function value.
+// scheduler without per-event closures; only user callbacks
+// (Env.AtArg, Env.AfterArg) carry a function value, with their state in
+// a separate argument.
 package sim
 
 // Event is a handle to a scheduled occurrence in virtual time. Events are
-// created through Env.At and Env.After or indirectly by process
+// created through Env.AtArg and Env.AfterArg or indirectly by process
 // primitives such as Proc.Wait. An Event can be cancelled before it
 // fires. The zero Event is inert: Cancel is a no-op and Cancelled
 // reports false.
@@ -38,10 +39,8 @@ type Event struct {
 type evKind uint8
 
 const (
-	// evFn runs a user callback on the scheduler (Env.At / Env.After).
-	evFn evKind = iota
 	// evStart launches a spawned process.
-	evStart
+	evStart evKind = iota
 	// evResume resumes a process from a timed wait (Proc.Wait).
 	evResume
 	// evWake wakes a parked process or leaves a wake token (Env.Wake).
@@ -51,7 +50,7 @@ const (
 	// evFlow completes a PSResource flow.
 	evFlow
 	// evFnArg runs a static callback with a stored argument (Env.AtArg /
-	// Env.AfterArg) — the closure-free variant of evFn for hot paths.
+	// Env.AfterArg).
 	evFnArg
 )
 
@@ -65,7 +64,6 @@ const (
 type eventSlot struct {
 	time  float64
 	seq   uint64
-	fn    func()
 	fnArg func(any) // evFnArg: static callback taking arg, so no closure is built
 	arg   any
 	proc  *Proc

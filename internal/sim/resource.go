@@ -41,8 +41,7 @@ type Flow struct {
 	rate      float64
 	proc      *Proc
 	completed bool
-	done      func()
-	doneArg   func(any) // closure-free completion callback (StartFlowArg)
+	doneArg   func(any) // completion callback (StartFlowArg)
 	arg       any
 	ev        Event
 }
@@ -138,31 +137,18 @@ func (r *PSResource) Transfer(p *Proc, amount float64) {
 		return
 	}
 	p.mustBeCurrent("PSResource.Transfer")
-	f := r.startFlow(amount, p, nil)
+	f := r.startFlow(amount, p, nil, nil)
 	for !f.completed {
 		p.Park(r.parkTransfer)
 	}
 }
 
-// StartFlow begins an asynchronous transfer of amount units and returns the
-// flow handle. The optional done callback fires on the scheduler when the
-// flow completes. Use Flow.Await from a process to block on completion.
-func (r *PSResource) StartFlow(amount float64, done func()) *Flow {
-	if amount <= 0 {
-		f := r.env.allocFlow()
-		f.res, f.completed = r, true
-		if done != nil {
-			r.env.After(0, done)
-		}
-		return f
-	}
-	return r.startFlow(amount, nil, done)
-}
-
-// StartFlowArg is the closure-free variant of StartFlow: fn(arg) fires on
-// completion, with fn expected to be a top-level function so the call
+// StartFlowArg begins an asynchronous transfer of amount units and
+// returns the flow handle. The optional fn(arg) fires on the scheduler
+// when the flow completes; with fn a top-level function the call
 // allocates nothing beyond the flow itself (which comes from the
-// environment's bump arena).
+// environment's bump arena). Use Flow.Await from a process to block on
+// completion.
 func (r *PSResource) StartFlowArg(amount float64, fn func(any), arg any) *Flow {
 	if amount <= 0 {
 		f := r.env.allocFlow()
@@ -172,18 +158,13 @@ func (r *PSResource) StartFlowArg(amount float64, fn func(any), arg any) *Flow {
 		}
 		return f
 	}
-	r.advance()
-	f := r.env.allocFlow()
-	f.res, f.remaining, f.doneArg, f.arg = r, amount, fn, arg
-	r.flows = append(r.flows, f)
-	r.reschedule()
-	return f
+	return r.startFlow(amount, nil, fn, arg)
 }
 
-func (r *PSResource) startFlow(amount float64, p *Proc, done func()) *Flow {
+func (r *PSResource) startFlow(amount float64, p *Proc, fn func(any), arg any) *Flow {
 	r.advance()
 	f := r.env.allocFlow()
-	f.res, f.remaining, f.proc, f.done = r, amount, p, done
+	f.res, f.remaining, f.proc, f.doneArg, f.arg = r, amount, p, fn, arg
 	r.flows = append(r.flows, f)
 	r.reschedule()
 	return f
@@ -274,9 +255,6 @@ func (r *PSResource) complete(f *Flow) {
 		r.env.Wake(f.proc)
 	} else if f.proc != nil {
 		f.proc.wakeTokens++
-	}
-	if f.done != nil {
-		f.done()
 	}
 	if f.doneArg != nil {
 		f.doneArg(f.arg)

@@ -194,8 +194,8 @@ func TestRunUntilStopsEarly(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEnv()
 	fired := false
-	ev := e.At(5, func() { fired = true })
-	e.At(1, func() { ev.Cancel() })
+	ev := e.AtArg(5, func(any) { fired = true }, nil)
+	e.AtArg(1, func(any) { ev.Cancel() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.AtArg(5, func(any) {}, nil)
 }
 
 func TestPSResourceSingleFlowFullRate(t *testing.T) {
@@ -363,7 +363,7 @@ func TestPSResourceAsyncFlowAwait(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var done float64
 	e.Spawn("p", func(p *Proc) {
-		f := r.StartFlow(50, nil)
+		f := r.StartFlowArg(50, nil, nil)
 		p.Wait(1) // overlap with the flow
 		f.Await(p)
 		done = p.Now()
