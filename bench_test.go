@@ -96,12 +96,10 @@ func BenchmarkPot3dMultiNodeJob(b *testing.B) {
 // long compute stretches whose ranks drain memory/L3 flows at
 // core-staggered rates. Every node carries the same byte-class
 // multiset, so each interior flow-completion cluster lands on all
-// sixteen partitions at once and the static engine pays a full
+// sixteen partitions at once and floor-width windows would pay a full
 // multi-partition barrier for it; the adaptive oracle promises the
 // phase end and swallows the whole stretch in one window —
-// Result.Psim records the collapse (~1.6k static windows to ~100).
-// This is the job the CI adaptive gate asserts on: workers=8 (adaptive,
-// the default) vs static-workers=8 via benchgate -assert.
+// Result.Psim records the collapse (~1.6k floor-width windows to ~100).
 func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
 	cs := *machine.MustGet("ClusterA")
 	cs.CPU.CoresPerSocket = 4
@@ -120,12 +118,9 @@ func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
 			r.Allreduce([]float64{1}, 8, mpi.OpSum)
 		}
 	}
-	run := func(name string, workers int, static bool) {
+	run := func(name string, workers int) {
 		b.Run(name, func(b *testing.B) {
-			cfg := mpi.Config{
-				Cluster: &cs, Ranks: cs.MaxNodes * cpn,
-				SimWorkers: workers, StaticWindows: static,
-			}
+			cfg := mpi.Config{Cluster: &cs, Ranks: cs.MaxNodes * cpn, SimWorkers: workers}
 			for i := 0; i < b.N; i++ {
 				if _, err := mpi.Run(cfg, body); err != nil {
 					b.Fatal(err)
@@ -133,23 +128,19 @@ func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
 			}
 		})
 	}
-	run("serial", 0, false)
+	run("serial", 0)
 	for _, w := range []int{2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", w), w, false)
+		run(fmt.Sprintf("workers=%d", w), w)
 	}
-	run("static-workers=8", 8, true)
 }
 
 // runMultiNodeJob emits the shared sub-benchmark ladder: the serial
-// engine, the partitioned engine at rising worker counts (adaptive
-// windows, the default), and the saturated worker count pinned to
-// static latency-floor windows as the adaptive baseline.
+// engine and the partitioned engine at rising worker counts.
 func runMultiNodeJob(b *testing.B, rs spec.RunSpec) {
-	run := func(name string, workers int, static bool) {
+	run := func(name string, workers int) {
 		b.Run(name, func(b *testing.B) {
 			job := rs
 			job.SimWorkers = workers
-			job.SimStaticWindows = static
 			for i := 0; i < b.N; i++ {
 				if _, err := spec.Run(job); err != nil {
 					b.Fatal(err)
@@ -157,11 +148,10 @@ func runMultiNodeJob(b *testing.B, rs spec.RunSpec) {
 			}
 		})
 	}
-	run("serial", 0, false)
+	run("serial", 0)
 	for _, w := range []int{2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", w), w, false)
+		run(fmt.Sprintf("workers=%d", w), w)
 	}
-	run("static-workers=8", 8, true)
 }
 func BenchmarkFig6PowerEnergy(b *testing.B)  { runExperiment(b, figures.Fig6) }
 func BenchmarkTextScalingCases(b *testing.B) { runExperiment(b, figures.TextCases) }

@@ -45,10 +45,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-	simWorkers := flag.Int("sim-workers", 0,
-		"intra-job parallel engine workers for multi-node jobs (0 = let the scheduler grant idle cores, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	flag.Parse()
 
 	stop, err := profiling.StartWith(profiling.Options{
@@ -74,8 +70,6 @@ func main() {
 		stop()
 		os.Exit(1)
 	}
-	engine.Scheduler().SetSimWorkers(*simWorkers)
-	engine.Scheduler().SetStaticWindows(*simStatic)
 
 	var clusterList []string
 	if *clusters != "" {

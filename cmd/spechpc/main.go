@@ -66,10 +66,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-	simWorkers := flag.Int("sim-workers", 0,
-		"intra-job parallel engine workers for multi-node jobs (0 = let the scheduler grant idle cores, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	verbose := flag.Bool("v", false, "print parallel-engine window statistics to stderr")
 	flag.Parse()
 
@@ -108,7 +104,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		engine := newEngine(*parallel, *cacheDir, *simWorkers, *simStatic)
+		engine := newEngine(*parallel, *cacheDir)
 		p := &scenario.Planner{Engine: engine}
 		if err := p.Execute(sc, os.Stdout, *outDir); err != nil {
 			fatal(err)
@@ -127,16 +123,16 @@ func main() {
 	if *clock < 0 {
 		fatal(fmt.Errorf("invalid -clock %g (want positive GHz, 0 = base clock)", *clock))
 	}
-	class := bench.Tiny
-	if *classFlag == "small" {
-		class = bench.Small
+	class, err := bench.ParseClass(*classFlag)
+	if err != nil {
+		fatal(err)
 	}
 	points, err := parseRanks(*ranks, cluster.CPU.CoresPerDomain())
 	if err != nil {
 		fatal(err)
 	}
 
-	engine := newEngine(*parallel, *cacheDir, *simWorkers, *simStatic)
+	engine := newEngine(*parallel, *cacheDir)
 	defer reportStats(engine, *cacheDir, *verbose)
 	base := spec.RunSpec{
 		Benchmark: *name,
@@ -328,14 +324,12 @@ func runSweep(engine *campaign.Engine, base spec.RunSpec, points []int) error {
 }
 
 // newEngine builds the campaign engine, attaching the persistent store
-// when -cache-dir is set and applying the -sim-workers grant policy.
-func newEngine(workers int, cacheDir string, simWorkers int, simStatic bool) *campaign.Engine {
+// when -cache-dir is set.
+func newEngine(workers int, cacheDir string) *campaign.Engine {
 	engine, err := campaign.NewWithCacheDir(workers, cacheDir)
 	if err != nil {
 		fatal(err)
 	}
-	engine.Scheduler().SetSimWorkers(simWorkers)
-	engine.Scheduler().SetStaticWindows(simStatic)
 	return engine
 }
 
@@ -355,8 +349,8 @@ func reportStats(engine *campaign.Engine, cacheDir string, verbose bool) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"psim: %d runs (%d adaptive), %d windows (%d widened), %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
-		pt.Runs, pt.AdaptiveRuns, pt.Windows, pt.AdaptiveWindows,
+		"psim: %d runs, %d windows (%d widened), %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
+		pt.Runs, pt.Windows, pt.AdaptiveWindows,
 		pt.Mail, pt.IdleParts, pt.Narrowest, pt.Widest)
 }
 

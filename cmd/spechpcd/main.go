@@ -48,10 +48,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight HTTP requests")
 	surro := flag.Bool("surrogate", false, "serve mode=fast queries from analytic surrogate models fitted over cached results")
 	maxBound := flag.Float64("surrogate-max-bound", surrogate.DefaultMaxBound, "surrogate accuracy tolerance: queries whose error bound exceeds it simulate exactly")
-	simWorkers := flag.Int("sim-workers", 0,
-		"intra-job parallel engine workers for multi-node jobs (0 = grant idle cores when the queue is empty, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	flag.Parse()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -69,8 +65,6 @@ func main() {
 		dirStore, store = ds, ds
 	}
 	sched := campaign.NewScheduler(*parallel, store)
-	sched.SetSimWorkers(*simWorkers)
-	sched.SetStaticWindows(*simStatic)
 
 	// With -surrogate, warm-start the fast tier from every result already
 	// persisted, then keep learning: the scheduler feeds each fresh exact

@@ -1,11 +1,43 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/spechpc/spechpc-sim/internal/machine"
 )
+
+// TestParseClass pins the class names every front end accepts: the two
+// paper classes in any case and spacing, empty as tiny, and nothing else.
+func TestParseClass(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Class
+		ok   bool
+	}{
+		{"tiny", Tiny, true},
+		{"small", Small, true},
+		{"", Tiny, true},
+		{" Small ", Small, true},
+		{"TINY", Tiny, true},
+		{"smal", 0, false},
+		{"medium", 0, false},
+		{"large", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseClass(c.in)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "unknown class") {
+				t.Errorf("ParseClass(%q) = %v, %v; want an unknown class error", c.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
 
 func TestSplit1DBalanced(t *testing.T) {
 	cases := []struct {

@@ -11,6 +11,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/spechpc/spechpc-sim/internal/mpi"
 )
@@ -35,6 +36,19 @@ func (c Class) String() string {
 		return "small"
 	default:
 		return fmt.Sprintf("Class(%d)", int(c))
+	}
+}
+
+// ParseClass maps a class name (case-insensitive, surrounding space
+// ignored; empty selects tiny) onto its Class, rejecting anything else.
+func ParseClass(s string) (Class, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "tiny":
+		return Tiny, nil
+	case "small":
+		return Small, nil
+	default:
+		return 0, fmt.Errorf("unknown class %q (want tiny or small)", s)
 	}
 }
 

@@ -212,16 +212,6 @@ type Scheduler struct {
 	// means spec.Run. Set before serving traffic.
 	runner Runner
 
-	// simWorkers controls intra-job parallelism grants (SetSimWorkers):
-	// 0 grants automatically when the campaign cannot keep the pool busy,
-	// -1 never grants, n > 0 forces n workers onto every eligible job.
-	simWorkers int
-
-	// staticWindows pins granted partitioned jobs to static latency-floor
-	// windows (SetStaticWindows); wall-clock strategy only, results and
-	// job keys are unaffected.
-	staticWindows bool
-
 	mu      sync.Mutex
 	cache   map[string]*schedJob // every key ever submitted (minus cancelled/evicted)
 	queue   jobQueue
@@ -266,18 +256,6 @@ func NewScheduler(workers int, store Store) *Scheduler {
 // daemon fed unique jobs forever does not grow without bound.
 const defaultMemoCap = 4096
 
-// LimitMemo overrides the in-process memo bound: completed entries that
-// the persistent store also holds are evicted oldest-first beyond n
-// (<= 0 disables eviction). Entries the store cannot serve — failed
-// jobs, KeepTrace jobs, everything when no store is attached — are
-// never evicted, since dropping them would forfeit dedup rather than
-// trade memory for a disk read. Call before submitting work.
-func (s *Scheduler) LimitMemo(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.memoCap = n
-}
-
 // noteDoneLocked records a completed entry as evictable (when the store
 // can re-serve it) and enforces the memo bound. Callers hold s.mu.
 func (s *Scheduler) noteDoneLocked(j *schedJob) {
@@ -302,52 +280,6 @@ func (s *Scheduler) SetPredictor(p Predictor) {
 	s.predictor = p
 	if o, ok := p.(Observer); ok {
 		s.observer = o
-	}
-}
-
-// SetSimWorkers controls how the scheduler grants intra-job parallelism
-// (spec.RunSpec.SimWorkers, the conservative-lookahead engine of
-// internal/sim/psim). The default 0 grants the full worker budget to a
-// multi-node job only when the campaign itself cannot use it — the
-// queue is empty and nothing else is running — so job-level parallelism
-// (many independent simulations) always wins when there is enough of
-// it, and the partitioned engine soaks up the cores it leaves idle.
-// -1 disables grants; n > 0 forces n workers onto every eligible job.
-// Because partitioned results are byte-identical to serial ones (and
-// job keys exclude SimWorkers), grants never split or poison the memo
-// or the persistent store. Call before submitting work.
-func (s *Scheduler) SetSimWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.simWorkers = n
-}
-
-// SetStaticWindows disables the partitioned engine's adaptive window
-// widening for every job this scheduler grants workers to, pinning the
-// static latency-floor windows (spec.RunSpec.SimStaticWindows). Like
-// SetSimWorkers it selects wall-clock strategy only: results stay
-// byte-identical and job keys are unchanged, so flipping it never splits
-// the memo or the persistent store. Intended for benchmarking and
-// engine bisection. Call before submitting work.
-func (s *Scheduler) SetStaticWindows(static bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.staticWindows = static
-}
-
-// grantWorkersLocked decides the intra-job worker grant for a job about
-// to execute. Callers hold s.mu; the caller is already counted in
-// s.active, so the idle-pool condition is active == 1.
-func (s *Scheduler) grantWorkersLocked() int {
-	switch {
-	case s.simWorkers < 0:
-		return 0
-	case s.simWorkers > 0:
-		return s.simWorkers
-	case len(s.queue) == 0 && s.active == 1:
-		return s.workers
-	default:
-		return 0
 	}
 }
 
@@ -545,13 +477,16 @@ func (s *Scheduler) worker() {
 		j := heap.Pop(&s.queue).(*schedJob)
 		j.state = Running
 		s.active++
-		// Decide the intra-job parallelism grant while the queue state is
-		// still visible; the granted spec shares the job's key (SimWorkers
-		// is execution strategy, not identity).
-		rs := withSimWorkers(j.rs, s.grantWorkersLocked())
-		if rs.SimWorkers > 1 && s.staticWindows {
-			rs.SimStaticWindows = true
+		// Grant the whole pool to a multi-node job when the campaign
+		// cannot use it: nothing waits and this is the only job running
+		// (it is already counted in s.active). Decided while the queue
+		// state is still visible; the granted spec shares the job's key
+		// (SimWorkers is execution strategy, not identity).
+		grant := 0
+		if len(s.queue) == 0 && s.active == 1 {
+			grant = s.workers
 		}
+		rs := withSimWorkers(j.rs, grant)
 		s.mu.Unlock()
 
 		res, err := s.execute(j.key, rs)

@@ -280,7 +280,7 @@ func TestCloseDropsQueuedUnblocksWaiters(t *testing.T) {
 }
 
 // TestMemoBoundEvictsToStore pins the daemon memory bound: a
-// store-backed scheduler holds at most LimitMemo completed entries in
+// store-backed scheduler holds at most memoCap completed entries in
 // process, and an evicted job's resubmission is served from the store
 // (a StoreHit), never re-simulated.
 func TestMemoBoundEvictsToStore(t *testing.T) {
@@ -289,7 +289,7 @@ func TestMemoBoundEvictsToStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewScheduler(2, st)
-	s.LimitMemo(2)
+	s.memoCap = 2
 	defer s.Close()
 
 	jobs := []spec.RunSpec{counterJob(1), counterJob(2), counterJob(3), counterJob(4)}
@@ -302,7 +302,7 @@ func TestMemoBoundEvictsToStore(t *testing.T) {
 	cached := len(s.cache)
 	s.mu.Unlock()
 	if cached > 2 {
-		t.Errorf("memo holds %d entries, want <= 2 (LimitMemo)", cached)
+		t.Errorf("memo holds %d entries, want <= 2 (memoCap)", cached)
 	}
 
 	// Resubmitting an evicted job costs a store read, not a simulation.

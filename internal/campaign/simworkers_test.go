@@ -44,75 +44,48 @@ func TestWithSimWorkersEligibility(t *testing.T) {
 
 // TestSchedulerGrantPolicy drives the scheduler with an intercepting
 // runner and checks the grant policy end to end: an otherwise-idle pool
-// donates its full worker budget to a lone multi-node job, a forced
-// setting overrides the budget, and -1 switches grants off. Single-node
-// jobs are never granted workers whatever the policy.
+// donates its full worker budget to a lone multi-node job, a job that
+// starts while another is running gets no grant, and single-node jobs
+// are never granted workers.
 func TestSchedulerGrantPolicy(t *testing.T) {
-	run := func(setting int, rs spec.RunSpec) int {
-		s := NewScheduler(4, nil)
-		s.SetSimWorkers(setting)
-		var mu sync.Mutex
-		seen := -1
-		s.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
-			mu.Lock()
-			seen = rs.SimWorkers
-			mu.Unlock()
-			return spec.Run(rs)
-		})
-		defer s.Close()
+	var mu sync.Mutex
+	seen := map[int]int{} // ranks -> granted SimWorkers
+	s := NewScheduler(4, nil)
+	s.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
+		mu.Lock()
+		seen[rs.Ranks] = rs.SimWorkers
+		mu.Unlock()
+		return spec.Run(rs)
+	})
+	defer s.Close()
+	wait := func(rs spec.RunSpec) int {
+		t.Helper()
 		if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
-			t.Fatalf("setting %d: %v", setting, out.Err)
+			t.Fatalf("%d ranks: %v", rs.Ranks, out.Err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		return seen
+		return seen[rs.Ranks]
 	}
-	multi := counterJob(100) // two ClusterA nodes
-	if got := run(0, multi); got != 4 {
+	if got := wait(counterJob(100)); got != 4 { // two ClusterA nodes
 		t.Errorf("idle auto grant gave %d workers, want the pool budget 4", got)
 	}
-	if got := run(2, multi); got != 2 {
-		t.Errorf("forced setting gave %d workers, want 2", got)
-	}
-	if got := run(-1, multi); got != 0 {
-		t.Errorf("disabled grants still gave %d workers", got)
-	}
-	if got := run(0, counterJob(4)); got != 0 {
+	if got := wait(counterJob(4)); got != 0 {
 		t.Errorf("single-node job granted %d workers", got)
 	}
-}
 
-// TestSchedulerStaticWindows checks SetStaticWindows rides along with
-// worker grants — granted jobs run with static windows when set, and
-// ungranted (serial) jobs never carry the flag.
-func TestSchedulerStaticWindows(t *testing.T) {
-	run := func(static bool, rs spec.RunSpec) (workers int, staticSeen bool) {
-		s := NewScheduler(4, nil)
-		s.SetSimWorkers(4)
-		s.SetStaticWindows(static)
-		var mu sync.Mutex
-		s.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
-			mu.Lock()
-			workers, staticSeen = rs.SimWorkers, rs.SimStaticWindows
-			mu.Unlock()
-			return spec.Run(rs)
-		})
-		defer s.Close()
-		if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
-			t.Fatalf("static=%v: %v", static, out.Err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return workers, staticSeen
+	// Pin one job in the Running state: the next multi-node job shares
+	// the pool and must run serially.
+	schedGate = make(chan struct{})
+	schedStarted.Store(0)
+	blocked := s.Submit(context.Background(), blockJob(1))
+	waitStarted(t, 1)
+	if got := wait(counterJob(101)); got != 0 {
+		t.Errorf("job beside a running one granted %d workers", got)
 	}
-	if w, st := run(true, counterJob(100)); w != 4 || !st {
-		t.Errorf("granted job ran workers=%d static=%v, want 4/true", w, st)
-	}
-	if _, st := run(false, counterJob(100)); st {
-		t.Error("adaptive scheduler pinned static windows")
-	}
-	if w, st := run(true, counterJob(4)); w != 0 || st {
-		t.Errorf("single-node job ran workers=%d static=%v; the flag must ride worker grants only", w, st)
+	close(schedGate)
+	if out := blocked.Wait(context.Background()); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 }
 
@@ -121,7 +94,6 @@ func TestSchedulerStaticWindows(t *testing.T) {
 // same spec must hit the memo, not re-simulate.
 func TestGrantedJobSharesSerialKey(t *testing.T) {
 	s := NewScheduler(4, nil)
-	s.SetSimWorkers(4)
 	defer s.Close()
 	before := simCount.Load()
 	rs := counterJob(100)

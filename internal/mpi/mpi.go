@@ -56,12 +56,6 @@ type Config struct {
 	// SimWorkers <= 1 run serially. Requires a fabric with a positive
 	// latency floor.
 	SimWorkers int
-	// StaticWindows disables the adaptive earliest-output-time window
-	// widening of the partitioned engine, pinning every window to the
-	// fabric latency floor (the pre-adaptive behavior). Results are
-	// byte-identical either way; the knob exists for benchmarking and
-	// bisection. Ignored on the serial path.
-	StaticWindows bool
 }
 
 // Result is the outcome of a simulated job.
@@ -460,13 +454,10 @@ func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("mpi: SimWorkers=%d: %w", cfg.SimWorkers, err)
 	}
-	adaptive := !cfg.StaticWindows
-	eng := psim.Acquire(nodes, cfg.SimWorkers, floor, adaptive)
+	eng := psim.Acquire(nodes, cfg.SimWorkers, floor)
 	job := jobPool.Get().(*Job)
 	job.init(eng, cfg, body)
-	if adaptive {
-		job.attachOracle(eng, nodes)
-	}
+	job.attachOracle(eng, nodes)
 	if err := eng.Run(); err != nil {
 		// Failed runs abandon the job (blocked rank goroutines may still
 		// reference it); the engine releases what stayed clean.

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,7 +274,6 @@ type statszResponse struct {
 // seconds.
 type statszPsim struct {
 	Runs            int64   `json:"runs"`
-	AdaptiveRuns    int64   `json:"adaptive_runs"`
 	Windows         int64   `json:"windows"`
 	AdaptiveWindows int64   `json:"adaptive_windows"`
 	Mail            int64   `json:"mail_merged"`
@@ -353,7 +351,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	pt := psim.Snapshot()
 	resp.Psim = statszPsim{
 		Runs:            pt.Runs,
-		AdaptiveRuns:    pt.AdaptiveRuns,
 		Windows:         pt.Windows,
 		AdaptiveWindows: pt.AdaptiveWindows,
 		Mail:            pt.Mail,
@@ -446,16 +443,4 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// parseClass maps the API class names onto bench classes.
-func parseClass(s string) (bench.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "tiny":
-		return bench.Tiny, nil
-	case "small":
-		return bench.Small, nil
-	default:
-		return 0, fmt.Errorf("unknown class %q (want tiny or small)", s)
-	}
 }

@@ -156,8 +156,8 @@ func TestJobLifecycle(t *testing.T) {
 
 // TestStatszPsimWindows submits a multi-node job to an otherwise-idle
 // server — the scheduler donates its worker budget, so the job runs on
-// the partitioned engine in adaptive mode — and checks /statsz reports
-// the engine's window accounting.
+// the partitioned engine with adaptive windows — and checks /statsz
+// reports the engine's window accounting.
 func TestStatszPsimWindows(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 
@@ -176,8 +176,8 @@ func TestStatszPsimWindows(t *testing.T) {
 	if after.Psim.Runs <= before.Psim.Runs {
 		t.Fatalf("psim runs did not advance: %+v -> %+v", before.Psim, after.Psim)
 	}
-	if after.Psim.AdaptiveRuns <= before.Psim.AdaptiveRuns {
-		t.Errorf("partitioned run was not adaptive: %+v", after.Psim)
+	if after.Psim.AdaptiveWindows <= before.Psim.AdaptiveWindows {
+		t.Errorf("partitioned run widened no window: %+v", after.Psim)
 	}
 	if after.Psim.Windows <= before.Psim.Windows {
 		t.Errorf("no windows accounted: %+v", after.Psim)

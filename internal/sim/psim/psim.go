@@ -20,12 +20,13 @@
 // engine's identity to the partitioned one is pinned by the determinism
 // goldens in internal/spec.
 //
-// In adaptive mode the engine widens windows beyond the static floor
-// using per-partition earliest-output-time promises (sim.Env's
-// EarliestOutput, fed by the MPI layer's oracle): each barrier advances
-// to min over partitions of EOT plus the latency floor. Because every
-// promise is a sound lower bound on the partition's next cross-node
-// send, all mail posted inside the wider window still carries
+// The engine widens windows beyond the static floor using per-partition
+// earliest-output-time promises (sim.Env's EarliestOutput, fed by the
+// MPI layer's oracle): each barrier advances to min over partitions of
+// EOT plus the latency floor. An environment with no oracle registered
+// reports its next event time, so its windows stay at the floor.
+// Because every promise is a sound lower bound on the partition's next
+// cross-node send, all mail posted inside the wider window still carries
 // timestamps at or past the next barrier, and because windows only
 // partition virtual time — equal-timestamp mail always lands in the
 // same window under any window schedule — the canonical merge order,
@@ -69,7 +70,6 @@ type Engine struct {
 	partStore []*partition
 	lookahead float64
 	workers   int
-	adaptive  bool
 
 	window float64 // current window end, set before dispatch
 	inbox  []mail  // per-destination merge scratch
@@ -83,13 +83,14 @@ type Engine struct {
 // Stats counts one run's window behavior; read it with Engine.Stats
 // after Run and before Release. The counters are what make the adaptive
 // win observable without a profiler: a compute-heavy job shows Windows
-// collapsing by orders of magnitude versus static mode while Mail stays
-// identical (the same simulation flows through fewer barriers).
+// collapsing by orders of magnitude versus floor-width windows while
+// Mail stays identical (the same simulation flows through fewer
+// barriers).
 type Stats struct {
 	// Windows is the number of barrier-to-barrier windows executed.
 	Windows int64
 	// AdaptiveWindows counts windows the oracle widened beyond the
-	// static latency floor. Zero in static mode.
+	// static latency floor. Zero when no oracle is registered.
 	AdaptiveWindows int64
 	// Mail is the number of cross-partition events merged at barriers.
 	Mail int64
@@ -130,9 +131,8 @@ var (
 // Totals aggregates window statistics across all engine runs in this
 // process.
 type Totals struct {
-	// Runs counts completed Engine.Run calls; AdaptiveRuns those in
-	// adaptive mode.
-	Runs, AdaptiveRuns int64
+	// Runs counts completed Engine.Run calls.
+	Runs int64
 	Stats
 }
 
@@ -150,9 +150,6 @@ func (g *Engine) flushTotals() {
 	totalsMu.Lock()
 	defer totalsMu.Unlock()
 	totals.Runs++
-	if g.adaptive {
-		totals.AdaptiveRuns++
-	}
 	totals.Stats.merge(g.stat)
 }
 
@@ -164,11 +161,10 @@ var enginePool = sync.Pool{New: func() any { return &Engine{} }}
 // Acquire returns an engine for a job spanning nodes partitions,
 // executed by up to workers concurrent executors, with the given
 // conservative lookahead (netsim.Spec.LatencyFloor). Each partition
-// gets a reset environment from the sim pool. With adaptive set, the
-// engine widens windows past the static floor using the partitions'
-// EarliestOutput bounds; callers that register no oracle get static
-// behavior either way, so adaptive is safe to request unconditionally.
-func Acquire(nodes, workers int, lookahead float64, adaptive bool) *Engine {
+// gets a reset environment from the sim pool. The engine widens windows
+// past the static floor using the partitions' EarliestOutput bounds;
+// callers that register no oracle get floor-width windows.
+func Acquire(nodes, workers int, lookahead float64) *Engine {
 	if nodes <= 0 {
 		panic("psim: engine with no partitions")
 	}
@@ -177,7 +173,6 @@ func Acquire(nodes, workers int, lookahead float64, adaptive bool) *Engine {
 	}
 	g := enginePool.Get().(*Engine)
 	g.lookahead = lookahead
-	g.adaptive = adaptive
 	g.stat = Stats{}
 	g.workers = workers
 	if g.workers > nodes {
@@ -238,10 +233,10 @@ func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 // Run executes the window loop to completion: deliver pending mail,
 // find the global minimum next-event time T, execute every partition's
 // events in [T, w) concurrently, repeat. The window end w is the static
-// T+lookahead, or — in adaptive mode — the global earliest-output bound
-// plus the lookahead, whichever is later: every partition has promised
-// not to post cross-partition mail before the bound, and all mail
-// trails its cause by at least the lookahead, so nothing can land
+// T+lookahead or the global earliest-output bound plus the lookahead,
+// whichever is later: every partition has promised not to post
+// cross-partition mail before the bound, and all mail trails its cause
+// by at least the lookahead, so nothing can land
 // inside the wider window. It returns the first process panic, or a
 // deadlock error if parked processes remain after all queues and
 // mailboxes drain.
@@ -271,15 +266,13 @@ func (g *Engine) Run() error {
 		// Narrowest counter honors "windows only widen" literally.
 		span := g.lookahead
 		w := t + g.lookahead
-		if g.adaptive {
-			// minEarliestOutput is finite here (the partition owning t
-			// reports at most a finite bound while events are queued)
-			// and never below t; the IsInf check is pure defense.
-			if eo := g.minEarliestOutput(); eo > t && !math.IsInf(eo, 1) {
-				w = eo + g.lookahead
-				span = w - t
-				g.stat.AdaptiveWindows++
-			}
+		// minEarliestOutput is finite here (the partition owning t
+		// reports at most a finite bound while events are queued) and
+		// never below t; the IsInf check is pure defense.
+		if eo := g.minEarliestOutput(); eo > t && !math.IsInf(eo, 1) {
+			w = eo + g.lookahead
+			span = w - t
+			g.stat.AdaptiveWindows++
 		}
 		g.noteWindow(span)
 		g.runWindow(w)

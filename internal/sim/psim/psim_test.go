@@ -40,7 +40,7 @@ func (p *ping) hop(any) {
 // previous one, at every worker count.
 func TestCrossPartitionPingPong(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		g := Acquire(2, workers, look, false)
+		g := Acquire(2, workers, look)
 		p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 		g.NodeEnv(0).AtArg(0, p.hop, nil)
 		if err := g.Run(); err != nil {
@@ -66,7 +66,7 @@ func TestCrossPartitionPingPong(t *testing.T) {
 func TestMergeOrderIsCanonical(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
-		g := Acquire(4, workers, look, false)
+		g := Acquire(4, workers, look)
 		var got strings.Builder
 		rec := func(a any) { fmt.Fprintf(&got, "%s@%v ", a.(string), g.NodeEnv(0).Now()) }
 		// Sources 3, 2, 1 post at identical times; source order must win.
@@ -97,7 +97,7 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 // TestDeadlockDetected parks a process that nothing ever wakes and
 // expects Run to fail once all queues drain.
 func TestDeadlockDetected(t *testing.T) {
-	g := Acquire(2, 2, look, false)
+	g := Acquire(2, 2, look)
 	g.NodeEnv(1).Spawn("stuck", func(p *sim.Proc) { p.Park("never woken") })
 	if err := g.Run(); err == nil {
 		t.Fatal("deadlocked run reported success")
@@ -110,9 +110,9 @@ func TestDeadlockDetected(t *testing.T) {
 // partition count (extra workers could never have work).
 func TestAcquireValidation(t *testing.T) {
 	for _, bad := range []func(){
-		func() { Acquire(0, 1, look, false) },
-		func() { Acquire(2, 1, 0, false) },
-		func() { Acquire(2, 1, -1, false) },
+		func() { Acquire(0, 1, look) },
+		func() { Acquire(2, 1, 0) },
+		func() { Acquire(2, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -123,7 +123,7 @@ func TestAcquireValidation(t *testing.T) {
 			bad()
 		}()
 	}
-	g := Acquire(2, 16, look, false)
+	g := Acquire(2, 16, look)
 	if g.workers != 2 {
 		t.Errorf("workers clamped to %d, want 2", g.workers)
 	}
@@ -137,20 +137,22 @@ func (o *boundOracle) EarliestOutputTime() float64 { return o.bound }
 
 // TestAdaptiveWidensWindows drives two partitions whose processes wake
 // repeatedly at sub-promise times without ever posting cross-partition
-// mail before a known bound, and checks the adaptive engine executes the
-// whole stretch in fewer, wider windows than the static floor while the
-// same workload static stays at the floor.
+// mail before a known bound, and checks the engine executes the whole
+// stretch in fewer, wider windows than the static floor while the same
+// workload with no oracle registered stays at the floor.
 func TestAdaptiveWidensWindows(t *testing.T) {
 	const wakes = 20
-	run := func(adaptive bool) Stats {
-		g := Acquire(2, 2, look, adaptive)
+	run := func(withOracle bool) Stats {
+		g := Acquire(2, 2, look)
 		defer g.Release()
 		for i := 0; i < 2; i++ {
 			i := i
 			// Each partition promises nothing can leave before the last
-			// wake; the wakes themselves are 10 lookaheads apart, so the
-			// static engine needs a window per wake.
-			g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: wakes * 10 * look})
+			// wake; the wakes themselves are 10 lookaheads apart, so
+			// floor-width windows need one per wake.
+			if withOracle {
+				g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: wakes * 10 * look})
+			}
 			g.NodeEnv(i).Spawn("ticker", func(p *sim.Proc) {
 				for k := 0; k < wakes; k++ {
 					p.Wait(10 * look)
@@ -185,12 +187,11 @@ func TestAdaptiveWidensWindows(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFallsBackWithoutPromise checks an adaptive engine whose
-// partitions never register an oracle (or promise nothing useful)
-// behaves exactly like the static one: EarliestOutput degrades to the
-// next event time, so no window widens.
+// TestAdaptiveFallsBackWithoutPromise checks an engine whose partitions
+// never register an oracle keeps floor-width windows: EarliestOutput
+// degrades to the next event time, so no window widens.
 func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
-	g := Acquire(2, 2, look, true)
+	g := Acquire(2, 2, look)
 	defer g.Release()
 	p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 	g.NodeEnv(0).AtArg(0, p.hop, nil)
@@ -198,7 +199,7 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := g.Stats(); st.AdaptiveWindows != 0 {
-		t.Errorf("oracle-less adaptive run widened %d windows", st.AdaptiveWindows)
+		t.Errorf("oracle-less run widened %d windows", st.AdaptiveWindows)
 	}
 	for i, tm := range p.times {
 		if want := float64(i) * look; tm != want {
@@ -212,7 +213,7 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 func TestEngineReuse(t *testing.T) {
 	var total atomic.Int64
 	run := func(workers int) int64 {
-		g := Acquire(3, workers, look, false)
+		g := Acquire(3, workers, look)
 		defer g.Release()
 		start := total.Load()
 		for i := 0; i < 3; i++ {

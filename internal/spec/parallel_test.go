@@ -76,19 +76,6 @@ func TestParallelEngineParity(t *testing.T) {
 						w, firstDiff(want, got))
 				}
 			}
-			// Static windows are the same simulation through narrower
-			// barriers; one saturated-worker run pins that mode too.
-			srs := rs
-			srs.SimWorkers = 8
-			srs.SimStaticWindows = true
-			res, err := spec.Run(srs)
-			if err != nil {
-				t.Fatalf("static windows: %v", err)
-			}
-			if got := renderDeterminism(res, true); got != want {
-				t.Errorf("static windows diverged from serial engine\n%s",
-					firstDiff(want, got))
-			}
 		})
 	}
 }
@@ -108,13 +95,7 @@ func TestParallelEngineStress(t *testing.T) {
 			Cluster: machine.MustGet("ClusterB"), Ranks: 3*104 + 1,
 			Options: bench.Options{SimSteps: 1}, KeepTrace: true},
 	}
-	workerSeq := []struct {
-		workers int
-		static  bool
-	}{
-		{0, false}, {8, false}, {1, false}, {8, true}, {4, false},
-		{8, false}, {0, true}, {2, true}, {8, false},
-	}
+	workerSeq := []int{0, 8, 1, 8, 4, 8, 0, 2, 8}
 	var mu sync.Mutex
 	want := map[string]string{}
 	var wg sync.WaitGroup
@@ -124,11 +105,10 @@ func TestParallelEngineStress(t *testing.T) {
 			defer wg.Done()
 			for i, w := range workerSeq {
 				rs := jobs[(g+i)%len(jobs)]
-				rs.SimWorkers = w.workers
-				rs.SimStaticWindows = w.static
+				rs.SimWorkers = w
 				res, err := spec.Run(rs)
 				if err != nil {
-					t.Errorf("goroutine %d workers=%d static=%v: %v", g, w.workers, w.static, err)
+					t.Errorf("goroutine %d workers=%d: %v", g, w, err)
 					return
 				}
 				got := renderDeterminism(res, true)
@@ -136,8 +116,8 @@ func TestParallelEngineStress(t *testing.T) {
 				if prev, ok := want[rs.Benchmark]; !ok {
 					want[rs.Benchmark] = got
 				} else if got != prev {
-					t.Errorf("goroutine %d: %s at workers=%d static=%v diverged from first run\n%s",
-						g, rs.Benchmark, w.workers, w.static, firstDiff(prev, got))
+					t.Errorf("goroutine %d: %s at workers=%d diverged from first run\n%s",
+						g, rs.Benchmark, w, firstDiff(prev, got))
 				}
 				mu.Unlock()
 			}

@@ -46,12 +46,6 @@ type RunSpec struct {
 	// every worker count, so the field selects wall-clock strategy, not
 	// simulation semantics — campaign job keys deliberately exclude it.
 	SimWorkers int
-	// SimStaticWindows pins the partitioned engine's windows to the
-	// static fabric latency floor instead of the default adaptive
-	// earliest-output widening. Like SimWorkers it changes wall-clock
-	// strategy only — results are byte-identical — so campaign job keys
-	// exclude it too. No effect on serial runs.
-	SimStaticWindows bool
 }
 
 // RunResult is the outcome of one verified benchmark execution.
@@ -99,12 +93,11 @@ func Run(rs RunSpec) (RunResult, error) {
 	var rep bench.RunReport
 	var runErr error
 	res, err := mpi.Run(mpi.Config{
-		Cluster:       cluster,
-		Ranks:         rs.Ranks,
-		Trace:         rec,
-		Net:           rs.Net,
-		SimWorkers:    rs.SimWorkers,
-		StaticWindows: rs.SimStaticWindows,
+		Cluster:    cluster,
+		Ranks:      rs.Ranks,
+		Trace:      rec,
+		Net:        rs.Net,
+		SimWorkers: rs.SimWorkers,
 	}, func(r *mpi.Rank) {
 		rr, err := b.Run(r, rs.Class, rs.Options)
 		mu.Lock()

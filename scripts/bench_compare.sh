@@ -14,7 +14,7 @@
 #   scripts/bench_compare.sh record  [out.bench]       # default bench/baseline.bench
 #   scripts/bench_compare.sh compare [baseline.bench]  # gate fresh samples against a baseline
 #   scripts/bench_compare.sh fig5    [out.bench]       # headline macro benchmark samples
-#   scripts/bench_compare.sh workers [out.bench]       # worker + window-mode scaling sweep (lbm, pot3d, compute-heavy) + tables
+#   scripts/bench_compare.sh workers [out.bench]       # worker scaling sweep (lbm, pot3d, compute-heavy) + tables
 #   scripts/bench_compare.sh json    <in.bench> [out]  # benchfmt -> flat JSON means (stdout default)
 #
 # Environment:
@@ -81,13 +81,10 @@ workers)
     # jobs — communication-heavy lbm (Fig5), compute-bound pot3d, and
     # the compute-heavy staggered-flow job the adaptive window targets —
     # and print a scaling table per job (mean ns/op, speedup vs the
-    # serial engine). Results are byte-identical at every worker count
-    # and window mode, so the sweep isolates execution strategy. With
-    # BENCH_MIN_SPEEDUP set, additionally gate workers=8 vs serial on
-    # the two kernel jobs via benchgate -assert (as the CI psim gate
-    # does); with BENCH_MIN_ADAPTIVE set, gate adaptive workers=8 vs
-    # static windows at workers=8 on the compute-heavy job (the CI
-    # adaptive gate).
+    # serial engine). Results are byte-identical at every worker count,
+    # so the sweep isolates execution strategy. With BENCH_MIN_SPEEDUP
+    # set, additionally gate workers=8 vs serial on the two kernel jobs
+    # via benchgate -assert (as the CI psim gate does).
     OUT="${2:-bench/workers.bench}"
     mkdir -p "$(dirname "$OUT")"
     run_benches "." '^Benchmark(Fig5|Pot3d|ComputeHeavy)MultiNodeJob$' 1x "$COUNT" > "$OUT"
@@ -121,11 +118,6 @@ workers)
                 -faster "${JOB}MultiNodeJob/workers=8" -slower "${JOB}MultiNodeJob/serial" \
                 -min-speedup "$BENCH_MIN_SPEEDUP" -alpha "$ALPHA" -min-count "$MIN_COUNT"
         done
-    fi
-    if [ -n "${BENCH_MIN_ADAPTIVE:-}" ]; then
-        go run ./cmd/benchgate -assert "$OUT" \
-            -faster 'ComputeHeavyMultiNodeJob/workers=8' -slower 'ComputeHeavyMultiNodeJob/static-workers=8' \
-            -min-speedup "$BENCH_MIN_ADAPTIVE" -alpha "$ALPHA" -min-count "$MIN_COUNT"
     fi
     ;;
 json)
