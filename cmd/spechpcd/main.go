@@ -1,16 +1,17 @@
 // Command spechpcd serves the simulated SPEChpc 2021 evaluation over
 // HTTP: a long-lived daemon wrapping one asynchronous campaign
-// scheduler, so any number of clients can submit benchmark jobs and
-// declarative scenarios, poll their progress, and fetch results as JSON
-// or CSV. Identical requests coalesce onto one simulation; with
-// -cache-dir, results persist across restarts and repeated queries are
-// served from disk without simulating (see docs/SERVICE.md for the API
-// reference).
+// scheduler, so any number of clients can submit benchmark jobs, poll
+// their progress, and fetch results as JSON or CSV. Identical requests
+// coalesce onto one simulation; with -cache-dir, results persist across
+// restarts and repeated queries are served from disk without simulating
+// (see docs/SERVICE.md for the API reference). Whole studies run through
+// spechpc -scenario or figures -scenario; given the same -cache-dir,
+// they share the daemon's results.
 //
 // Usage:
 //
 //	spechpcd -addr 127.0.0.1:8080 -cache-dir ~/.cache/spechpc-sim
-//	spechpcd -addr 127.0.0.1:0 -quick          # ephemeral port, fast sweeps
+//	spechpcd -addr 127.0.0.1:0                 # ephemeral port
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/api/v1/jobs -d '{"benchmark":"lbm","cluster":"A","ranks":72}'
 //
@@ -29,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -42,9 +42,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks an ephemeral port)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "scheduler worker pool size")
 	cacheDir := flag.String("cache-dir", "", "persistent result store directory (results survive restarts)")
-	quick := flag.Bool("quick", false, "reduced scenario sweep resolution")
-	clusters := flag.String("clusters", "", "comma-separated default clusters for scenario sweeps (default: the paper's two)")
-	artifactDir := flag.String("artifacts", "", "scenario CSV artifact root (empty = per-run temp directories)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window for in-flight HTTP requests")
 	surro := flag.Bool("surrogate", false, "serve mode=fast queries from analytic surrogate models fitted over cached results")
 	maxBound := flag.Float64("surrogate-max-bound", surrogate.DefaultMaxBound, "surrogate accuracy tolerance: queries whose error bound exceeds it simulate exactly")
@@ -87,20 +84,7 @@ func main() {
 		}
 	}
 
-	var clusterList []string
-	if *clusters != "" {
-		for _, n := range strings.Split(*clusters, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				clusterList = append(clusterList, n)
-			}
-		}
-	}
-	svc := service.New(sched, service.Options{
-		Quick:           *quick,
-		DefaultClusters: clusterList,
-		ArtifactDir:     *artifactDir,
-		Surrogate:       idx,
-	})
+	svc := service.New(sched, service.Options{Surrogate: idx})
 
 	// The resolved address line is load-bearing: scripts/service_smoke.sh
 	// starts the daemon on an ephemeral port and parses the address from
@@ -132,8 +116,9 @@ func main() {
 	svc.Close()
 	sched.Close() // drops queued jobs, waits for running simulations
 	if idx != nil && dirStore != nil {
-		// Persist the fitted models (own "m1-" prefix, models/ subdir) so
-		// the next boot skips refitting; raw results stay authoritative.
+		// Persist each model's samples (own "m1-" prefix, models/ subdir).
+		// The next boot's Load only re-seeds those samples, which the
+		// index then refits; raw results stay authoritative.
 		if n, err := idx.Save(dirStore.ModelsDir()); err != nil {
 			fmt.Fprintln(os.Stderr, "spechpcd: surrogate model save:", err)
 		} else {

@@ -14,10 +14,13 @@
 // are dropped without running; running simulations always complete.
 //
 // The synchronous Engine (Run, Sweep, SweepAll, FrequencySweep) is a
-// thin batch adapter over the scheduler, preserved for CLIs, figures,
-// and tests: it submits a batch, waits for every ticket, and returns
-// outcomes in deterministic input order with per-job errors — one
-// failing job never aborts its siblings.
+// thin batch adapter over the scheduler for the CLIs, the figures, and
+// the scenario planner: it submits a batch, waits for every ticket, and
+// returns outcomes in deterministic input order with per-job errors —
+// one failing job never aborts its siblings. Engine submissions are
+// always exact; the HTTP service (internal/service) submits single jobs
+// straight to the Scheduler, optionally in the surrogate-backed Fast
+// mode.
 //
 // Backed by a persistent Store (see NewWithStore), the memo additionally
 // survives the process: results are looked up in — and written through to
@@ -91,7 +94,6 @@ func (s Stats) String() string {
 // scheduler's worker pool, memo, and coalescing.
 type Engine struct {
 	sched *Scheduler
-	mode  Mode
 }
 
 // New returns an engine running at most workers simulations at once.
@@ -112,8 +114,8 @@ func NewWithStore(workers int, store Store) *Engine {
 }
 
 // NewWithScheduler wraps an existing scheduler in the synchronous batch
-// API, so long-lived services can share one scheduler between HTTP
-// submissions and planner-driven batches.
+// API, so batch callers share its worker pool, memo, and store with any
+// direct Scheduler submissions.
 func NewWithScheduler(s *Scheduler) *Engine {
 	return &Engine{sched: s}
 }
@@ -144,30 +146,6 @@ func (e *Engine) Scheduler() *Scheduler { return e.sched }
 // Stats returns a snapshot of the cache counters.
 func (e *Engine) Stats() Stats { return e.sched.Stats() }
 
-// Mode returns the query mode every submission through this engine view
-// uses (Exact unless derived with WithMode).
-func (e *Engine) Mode() Mode { return e.mode }
-
-// WithMode returns a derived view of the same engine — same scheduler,
-// memo, store, and counters — whose submissions carry the given query
-// mode. A Fast view lets whole scenario renders ride the surrogate,
-// while the original Exact view is untouched; because surrogate answers
-// are never memoized, the two views cannot contaminate each other.
-func (e *Engine) WithMode(mode Mode) *Engine {
-	if mode == e.mode {
-		return e
-	}
-	return &Engine{sched: e.sched, mode: mode}
-}
-
-// Submit enqueues one job on the underlying scheduler without blocking —
-// the asynchronous escape hatch for callers (the scenario planner, the
-// HTTP service) that want results to stream in as they land. The
-// engine's mode applies (see WithMode).
-func (e *Engine) Submit(ctx context.Context, rs spec.RunSpec) *Ticket {
-	return e.sched.SubmitMode(ctx, rs, 0, e.mode)
-}
-
 // Run executes a campaign and returns one Outcome per job, in input
 // order. Jobs already memoized (or duplicated within the batch) are
 // served from the in-process memo, then from the persistent store if one
@@ -175,18 +153,10 @@ func (e *Engine) Submit(ctx context.Context, rs spec.RunSpec) *Ticket {
 // Workers() worker goroutines exist no matter the batch size, so 10k-job
 // scenario batches do not create 10k parked goroutines.
 func (e *Engine) Run(jobs []spec.RunSpec) []Outcome {
-	return e.RunCtx(context.Background(), jobs)
-}
-
-// RunCtx is Run under a cancellable context: the batch is submitted and
-// awaited with ctx, so cancelling it releases the batch's claim on
-// queued jobs and unblocks the waits (outcomes carry the context
-// error). A cancelled ctx can never pin work alive — the path renderers
-// use so an abandoned study stops resubmitting its own jobs.
-func (e *Engine) RunCtx(ctx context.Context, jobs []spec.RunSpec) []Outcome {
+	ctx := context.Background()
 	tickets := make([]*Ticket, len(jobs))
 	for i, rs := range jobs {
-		tickets[i] = e.Submit(ctx, rs)
+		tickets[i] = e.sched.Submit(ctx, rs)
 	}
 	out := make([]Outcome, len(jobs))
 	for i, t := range tickets {
@@ -200,18 +170,13 @@ func (e *Engine) RunCtx(ctx context.Context, jobs []spec.RunSpec) []Outcome {
 // of spec.Sweep. The first job error aborts the sweep's result (the
 // remaining points still complete and stay memoized).
 func (e *Engine) Sweep(base spec.RunSpec, points []int) ([]spec.RunResult, error) {
-	return e.SweepCtx(context.Background(), base, points)
-}
-
-// SweepCtx is Sweep under a cancellable context (see RunCtx).
-func (e *Engine) SweepCtx(ctx context.Context, base spec.RunSpec, points []int) ([]spec.RunResult, error) {
 	jobs := make([]spec.RunSpec, len(points))
 	for i, p := range points {
 		rs := base
 		rs.Ranks = p
 		jobs[i] = rs
 	}
-	outs := e.RunCtx(ctx, jobs)
+	outs := e.Run(jobs)
 	results := make([]spec.RunResult, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -259,12 +224,6 @@ func (e *Engine) SweepAll(names []string, base spec.RunSpec, points []int) (map[
 // Results come back in ladder order; the first job error aborts the
 // returned slice (remaining points still complete and stay memoized).
 func (e *Engine) FrequencySweep(base spec.RunSpec, clocks []float64) ([]spec.RunResult, error) {
-	return e.FrequencySweepCtx(context.Background(), base, clocks)
-}
-
-// FrequencySweepCtx is FrequencySweep under a cancellable context (see
-// RunCtx).
-func (e *Engine) FrequencySweepCtx(ctx context.Context, base spec.RunSpec, clocks []float64) ([]spec.RunResult, error) {
 	if len(clocks) == 0 {
 		if base.Cluster == nil {
 			return nil, fmt.Errorf("campaign: frequency sweep without cluster")
@@ -280,7 +239,7 @@ func (e *Engine) FrequencySweepCtx(ctx context.Context, base spec.RunSpec, clock
 		rs.ClockHz = hz
 		jobs[i] = rs
 	}
-	outs := e.RunCtx(ctx, jobs)
+	outs := e.Run(jobs)
 	results := make([]spec.RunResult, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {

@@ -226,53 +226,6 @@ func TestSubmitModeKeepTraceBypassesSurrogate(t *testing.T) {
 	}
 }
 
-// TestEngineWithMode: a Fast-derived engine view routes whole batches
-// through the surrogate while the original Exact view still simulates —
-// both over one shared scheduler.
-func TestEngineWithMode(t *testing.T) {
-	s := NewScheduler(2, nil)
-	defer s.Close()
-	e := NewWithScheduler(s)
-	if e.Mode() != Exact {
-		t.Fatalf("default engine mode = %v, want Exact", e.Mode())
-	}
-	fast := e.WithMode(Fast)
-	if fast.Mode() != Fast || e.Mode() != Exact {
-		t.Fatalf("WithMode mutated the base view: fast=%v base=%v", fast.Mode(), e.Mode())
-	}
-	if e.WithMode(Exact) != e {
-		t.Error("WithMode(same) should return the receiver")
-	}
-
-	jobs := []spec.RunSpec{counterJob(1), counterJob(2)}
-	p := &fakePredictor{answers: []fakeAnswer{
-		{pred: fakePrediction(jobs[0], 1)},
-		{pred: fakePrediction(jobs[1], 2)},
-	}}
-	s.SetPredictor(p)
-
-	for i, o := range fast.Run(jobs) {
-		if o.Err != nil {
-			t.Fatalf("fast job %d: %v", i, o.Err)
-		}
-		if want := float64(i + 1); o.Result.Usage.Wall != want {
-			t.Errorf("fast job %d wall = %v, want %v", i, o.Result.Usage.Wall, want)
-		}
-	}
-	st := s.Stats()
-	if st.SurrogateHits != 2 || st.Misses != 0 {
-		t.Fatalf("fast batch stats = %+v, want SurrogateHits=2 Misses=0", st)
-	}
-	for i, o := range e.Run(jobs) {
-		if o.Err != nil {
-			t.Fatalf("exact job %d: %v", i, o.Err)
-		}
-	}
-	if st := s.Stats(); st.Misses != 2 {
-		t.Errorf("exact batch after fast batch: Misses = %d, want 2", st.Misses)
-	}
-}
-
 // TestModeString pins the wire spellings the service accepts and
 // reports.
 func TestModeString(t *testing.T) {

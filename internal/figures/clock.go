@@ -54,7 +54,7 @@ func FigEnergyClock(ctx *Context) error {
 
 // renderFigEnergyClock renders the frequency study from the warm memo.
 func renderFigEnergyClock(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -129,16 +129,16 @@ func renderFigEnergyClock(ctx *Context) error {
 		if err := ptsTable.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(
+		if err := report.SaveSeriesCSV(ctx.OutDir,
 			fmt.Sprintf("figclock_zplot_%s.csv", cs.Name), "wall_s", zSeries); err != nil {
 			return err
 		}
-		if err := ctx.saveCSV(fmt.Sprintf("figclock_points_%s.csv", cs.Name), ptsTable); err != nil {
+		if err := report.SaveCSV(ctx.OutDir, fmt.Sprintf("figclock_points_%s.csv", cs.Name), ptsTable); err != nil {
 			return err
 		}
 	}
 	if err := optTable.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("figclock_optimal.csv", optTable)
+	return report.SaveCSV(ctx.OutDir, "figclock_optimal.csv", optTable)
 }

@@ -21,16 +21,13 @@
 package figures
 
 import (
-	"context"
 	"io"
 	"os"
-	"path/filepath"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	_ "github.com/spechpc/spechpc-sim/internal/benchmarks/suite" // register all nine kernels
 	"github.com/spechpc/spechpc-sim/internal/campaign"
 	"github.com/spechpc/spechpc-sim/internal/machine"
-	"github.com/spechpc/spechpc-sim/internal/report"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
@@ -83,62 +80,6 @@ func (ctx *Context) engine() *campaign.Engine {
 	return ctx.Engine
 }
 
-// clusterSpecs resolves the context's cluster names through the machine
-// registry.
-func (ctx *Context) clusterSpecs() ([]*machine.ClusterSpec, error) {
-	names := ctx.Clusters
-	if len(names) == 0 {
-		names = []string{"ClusterA", "ClusterB"}
-	}
-	out := make([]*machine.ClusterSpec, 0, len(names))
-	for _, n := range names {
-		cs, err := machine.Get(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cs)
-	}
-	return out, nil
-}
-
-// paperCluster resolves one of the paper's named systems for artifacts
-// pinned to a specific machine (insets, calibration tables).
-func paperCluster(name string) (*machine.ClusterSpec, error) {
-	return machine.Get(name)
-}
-
-// saveCSV writes a table as CSV into OutDir.
-func (ctx *Context) saveCSV(name string, t *report.Table) error {
-	if ctx.OutDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(ctx.OutDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(ctx.OutDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
-// saveSeriesCSV writes plot series as CSV into OutDir.
-func (ctx *Context) saveSeriesCSV(name, xName string, series []report.Series) error {
-	if ctx.OutDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(ctx.OutDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(ctx.OutDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.SeriesCSV(f, xName, series)
-}
-
 // planner returns the shared scenario planner view of the context: same
 // engine, same quick mode, same default clusters, so a scenario's
 // expanded plan is exactly the job set the renderers request.
@@ -160,7 +101,7 @@ func (ctx *Context) planner() *scenario.Planner {
 func (ctx *Context) runPlan(plan func(*Context) *scenario.Scenario, render func(*Context) error) error {
 	if plan != nil {
 		if sc := plan(ctx); sc != nil {
-			if _, err := ctx.planner().Enqueue(context.Background(), sc); err != nil {
+			if _, err := ctx.planner().Enqueue(sc); err != nil {
 				return err
 			}
 		}

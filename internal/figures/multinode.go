@@ -29,7 +29,7 @@ func Fig5(ctx *Context) error { return ctx.runPlan(multiNodeScenario, renderFig5
 // renderFig5 renders multi-node speedup, per-node memory bandwidth, and
 // aggregate memory volume for the small suite on both clusters.
 func renderFig5(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -79,7 +79,7 @@ func renderFig5(ctx *Context) error {
 			if err := plot.Write(ctx.out()); err != nil {
 				return err
 			}
-			if err := ctx.saveSeriesCSV(
+			if err := report.SaveSeriesCSV(ctx.OutDir,
 				fmt.Sprintf("fig5_%s_%s.csv", m.tag, cs.Name), "ranks", series); err != nil {
 				return err
 			}
@@ -108,11 +108,11 @@ func renderTextCases(ctx *Context) error {
 		"sph-exa":    {"poor", "poor"},
 		"minisweep":  {"poor", "poor"},
 	}
-	a, err := paperCluster("ClusterA")
+	a, err := machine.Get("ClusterA")
 	if err != nil {
 		return err
 	}
-	b, err := paperCluster("ClusterB")
+	b, err := machine.Get("ClusterB")
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,7 @@ func renderTextCases(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("text_cases.csv", t)
+	return report.SaveCSV(ctx.OutDir, "text_cases.csv", t)
 }
 
 // Fig6 runs the Fig. 6 experiment.
@@ -142,7 +142,7 @@ func Fig6(ctx *Context) error { return ctx.runPlan(multiNodeScenario, renderFig6
 // renderFig6 renders multi-node total power and energy for the small
 // suite.
 func renderFig6(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -179,10 +179,10 @@ func renderFig6(ctx *Context) error {
 		if err := ePlot.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig6_power_%s.csv", cs.Name), "ranks", pSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig6_power_%s.csv", cs.Name), "ranks", pSeries); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig6_energy_%s.csv", cs.Name), "ranks", eSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig6_energy_%s.csv", cs.Name), "ranks", eSeries); err != nil {
 			return err
 		}
 		// TDP utilisation summary (Sect. 5.2: 74-85% on A, 63-76% on B).
@@ -201,7 +201,7 @@ func renderFig6(ctx *Context) error {
 		if err := t.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig6_tdp_%s.csv", cs.Name), t); err != nil {
+		if err := report.SaveCSV(ctx.OutDir, fmt.Sprintf("fig6_tdp_%s.csv", cs.Name), t); err != nil {
 			return err
 		}
 	}

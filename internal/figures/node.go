@@ -40,7 +40,7 @@ func Fig1(ctx *Context) error { return ctx.runPlan(fig1Scenario, renderFig1) }
 // renderFig1 renders node-level speedup and total-vs-AVX performance for
 // both clusters (Fig. 1a-f).
 func renderFig1(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func renderFig1(ctx *Context) error {
 		if err := spPlot.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig1_speedup_%s.csv", cs.Name), "ranks", spSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig1_speedup_%s.csv", cs.Name), "ranks", spSeries); err != nil {
 			return err
 		}
 		// (b-c, e-f): DP vs AVX-DP performance, split by memory-boundness.
@@ -99,7 +99,7 @@ func renderFig1(ctx *Context) error {
 			if err := perfPlot.Write(ctx.out()); err != nil {
 				return err
 			}
-			if err := ctx.saveSeriesCSV(
+			if err := report.SaveSeriesCSV(ctx.OutDir,
 				fmt.Sprintf("fig1_perf_%s_%s.csv", group.tag, cs.Name), "ranks", series); err != nil {
 				return err
 			}
@@ -118,7 +118,7 @@ func TextEfficiency(ctx *Context) error {
 func renderTextEfficiency(ctx *Context) error {
 	t := report.NewTable("Sect. 4.1.1: parallel efficiency %, domain baseline",
 		append([]string{"Cluster"}, bench.Names()...)...)
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func renderTextEfficiency(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("text_efficiency.csv", t)
+	return report.SaveCSV(ctx.OutDir, "text_efficiency.csv", t)
 }
 
 // TextAcceleration runs the acceleration-factor experiment.
@@ -155,7 +155,7 @@ func TextAcceleration(ctx *Context) error {
 // (baseline) cluster of the context — ClusterB over ClusterA in the
 // paper setup.
 func renderTextAcceleration(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func renderTextAcceleration(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("text_acceleration.csv", t)
+	return report.SaveCSV(ctx.OutDir, "text_acceleration.csv", t)
 }
 
 // TextSIMD runs the vectorization-ratio experiment.
@@ -201,7 +201,7 @@ func TextSIMD(ctx *Context) error { return ctx.runPlan(simdScenario, renderTextS
 // renderTextSIMD reproduces the Sect. 4.1.3 vectorization-ratio table
 // (the paper measures it on the Ice Lake system).
 func renderTextSIMD(ctx *Context) error {
-	a, err := paperCluster("ClusterA")
+	a, err := machine.Get("ClusterA")
 	if err != nil {
 		return err
 	}
@@ -221,7 +221,7 @@ func renderTextSIMD(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("text_simd.csv", t)
+	return report.SaveCSV(ctx.OutDir, "text_simd.csv", t)
 }
 
 // Fig2 runs the Fig. 2 experiment.
@@ -231,7 +231,7 @@ func Fig2(ctx *Context) error { return ctx.runPlan(fig2Scenario, renderFig2) }
 // ITAC-style insets (minisweep serialization at 59 ranks, lbm straggler
 // at 71).
 func renderFig2(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -267,14 +267,14 @@ func renderFig2(ctx *Context) error {
 			if err := plot.Write(ctx.out()); err != nil {
 				return err
 			}
-			if err := ctx.saveSeriesCSV(
+			if err := report.SaveSeriesCSV(ctx.OutDir,
 				fmt.Sprintf("fig2_%s_%s.csv", m.tag, cs.Name), "ranks", series); err != nil {
 				return err
 			}
 		}
 	}
 	// (c, d) L3/L2 bandwidth for the codes the paper highlights.
-	a, err := paperCluster("ClusterA")
+	a, err := machine.Get("ClusterA")
 	if err != nil {
 		return err
 	}
@@ -304,7 +304,7 @@ func renderFig2(ctx *Context) error {
 	if err := cachePlot.Write(ctx.out()); err != nil {
 		return err
 	}
-	if err := ctx.saveSeriesCSV("fig2_cachebw_ClusterA.csv", "ranks", cacheSeries); err != nil {
+	if err := report.SaveSeriesCSV(ctx.OutDir, "fig2_cachebw_ClusterA.csv", "ranks", cacheSeries); err != nil {
 		return err
 	}
 	return fig2Insets(ctx)
@@ -314,7 +314,7 @@ func renderFig2(ctx *Context) error {
 // processes (MPI_Recv-dominated serialization) and lbm at 71 (one slow
 // straggler rank).
 func fig2Insets(ctx *Context) error {
-	a, err := paperCluster("ClusterA")
+	a, err := machine.Get("ClusterA")
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func fig2Insets(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	if err := ctx.saveCSV("fig2_inset_minisweep59.csv", t); err != nil {
+	if err := report.SaveCSV(ctx.OutDir, "fig2_inset_minisweep59.csv", t); err != nil {
 		return err
 	}
 	// lbm at 71 ranks: per-rank compute time identifies the straggler.
@@ -356,7 +356,7 @@ func fig2Insets(ctx *Context) error {
 	if err := t2.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("fig2_inset_lbm71.csv", t2)
+	return report.SaveCSV(ctx.OutDir, "fig2_inset_lbm71.csv", t2)
 }
 
 // stragglerRatio returns the slowest rank's compute time over the median
@@ -389,7 +389,7 @@ func Fig3(ctx *Context) error { return ctx.runPlan(domainAndNodeScenario, render
 // (a, c) and node-level power vs processes (b, d), including the
 // zero-core baseline extrapolation.
 func renderFig3(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -438,13 +438,13 @@ func renderFig3(ctx *Context) error {
 		if err := baseTable.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_chip_domain_%s.csv", cs.Name), "speedup", chipSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig3_chip_domain_%s.csv", cs.Name), "speedup", chipSeries); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_dram_domain_%s.csv", cs.Name), "speedup", dramSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig3_dram_domain_%s.csv", cs.Name), "speedup", dramSeries); err != nil {
 			return err
 		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig3_baseline_%s.csv", cs.Name), baseTable); err != nil {
+		if err := report.SaveCSV(ctx.OutDir, fmt.Sprintf("fig3_baseline_%s.csv", cs.Name), baseTable); err != nil {
 			return err
 		}
 
@@ -471,7 +471,7 @@ func renderFig3(ctx *Context) error {
 		if err := nodePlot.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_chip_node_%s.csv", cs.Name), "ranks", nodeSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig3_chip_node_%s.csv", cs.Name), "ranks", nodeSeries); err != nil {
 			return err
 		}
 	}
@@ -483,7 +483,7 @@ func Fig4(ctx *Context) error { return ctx.runPlan(domainAndNodeScenario, render
 
 // renderFig4 renders the energy Z-plots (a, b) and node total energy (c).
 func renderFig4(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -521,10 +521,10 @@ func renderFig4(ctx *Context) error {
 		if err := minTable.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig4_zplot_%s.csv", cs.Name), "speedup", zSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig4_zplot_%s.csv", cs.Name), "speedup", zSeries); err != nil {
 			return err
 		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig4_minima_%s.csv", cs.Name), minTable); err != nil {
+		if err := report.SaveCSV(ctx.OutDir, fmt.Sprintf("fig4_minima_%s.csv", cs.Name), minTable); err != nil {
 			return err
 		}
 
@@ -551,7 +551,7 @@ func renderFig4(ctx *Context) error {
 		if err := ePlot.Write(ctx.out()); err != nil {
 			return err
 		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig4_energy_node_%s.csv", cs.Name), "ranks", eSeries); err != nil {
+		if err := report.SaveSeriesCSV(ctx.OutDir, fmt.Sprintf("fig4_energy_node_%s.csv", cs.Name), "ranks", eSeries); err != nil {
 			return err
 		}
 	}

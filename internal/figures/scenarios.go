@@ -122,7 +122,7 @@ func casesScenario(ctx *Context) *scenario.Scenario {
 // domain across each cluster's DVFS ladder. Clusters without a ladder
 // are skipped here exactly as the renderer skips them.
 func figclockScenario(ctx *Context) *scenario.Scenario {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return nil // the renderer reports the resolution failure
 	}

@@ -36,7 +36,7 @@ func Table1(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("table1.csv", t)
+	return report.SaveCSV(ctx.OutDir, "table1.csv", t)
 }
 
 // Table2 reproduces the numerics/domain table.
@@ -49,13 +49,13 @@ func Table2(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("table2.csv", t)
+	return report.SaveCSV(ctx.OutDir, "table2.csv", t)
 }
 
 // Table3 reproduces the hardware/software attribute table from the
 // registered machine presets of the context.
 func Table3(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(ctx.Clusters)
 	if err != nil {
 		return err
 	}
@@ -110,5 +110,5 @@ func Table3(ctx *Context) error {
 	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	return ctx.saveCSV("table3.csv", t)
+	return report.SaveCSV(ctx.OutDir, "table3.csv", t)
 }

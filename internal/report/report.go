@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -272,4 +274,36 @@ func SeriesCSV(w io.Writer, xName string, series []Series) error {
 		}
 	}
 	return nil
+}
+
+// SaveCSV writes a table as CSV to dir/name, creating dir. An empty dir
+// writes nothing (artifacts disabled).
+func SaveCSV(dir, name string, t *Table) error {
+	return saveFile(dir, name, t.WriteCSV)
+}
+
+// SaveSeriesCSV writes plot series as CSV (see SeriesCSV) to dir/name,
+// creating dir. An empty dir writes nothing (artifacts disabled).
+func SaveSeriesCSV(dir, name, xName string, series []Series) error {
+	return saveFile(dir, name, func(w io.Writer) error { return SeriesCSV(w, xName, series) })
+}
+
+// saveFile creates dir/name and fills it with write, reporting the
+// first of the write and close errors.
+func saveFile(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -25,10 +25,6 @@ type fileScenario struct {
 	Title  string      `json:"title"`
 	Sweeps []fileSweep `json:"sweeps"`
 	Jobs   []fileJob   `json:"jobs"`
-	// Mode selects the query tier: "exact" (default) or "fast" (serve
-	// from the fitted surrogate when within tolerance, simulate
-	// otherwise).
-	Mode string `json:"mode"`
 }
 
 type fileSweep struct {
@@ -167,11 +163,6 @@ func Parse(data []byte, fallbackName string) (*Scenario, error) {
 	if sc.Name == "" {
 		sc.Name = fallbackName
 	}
-	mode, err := ParseMode(fs.Mode)
-	if err != nil {
-		return nil, err
-	}
-	sc.Mode = mode
 	for i, s := range fs.Sweeps {
 		class, err := bench.ParseClass(s.Class)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/campaign"
@@ -37,14 +35,6 @@ func (p *Planner) engine() *campaign.Engine {
 		p.Engine = campaign.New(0)
 	}
 	return p.Engine
-}
-
-// engineFor returns the engine view carrying a scenario's query mode:
-// the shared engine itself for exact studies, a Fast-mode view of the
-// same scheduler for surrogate-eligible ones. Both views share one
-// memo, store, and worker pool.
-func (p *Planner) engineFor(sc *Scenario) *campaign.Engine {
-	return p.engine().WithMode(sc.Mode)
 }
 
 // Clusters resolves a sweep's cluster names through the machine
@@ -88,32 +78,30 @@ func benchNames(names []string) []string {
 	return names
 }
 
-// ExpandParts flattens a scenario into one campaign batch per sweep
-// plus the pinned single jobs, each in deterministic order
-// (cluster-major, then benchmark, rank, clock). The concatenation of
-// the parts is exactly the set of simulations the scenario's renderer
-// will ask the engine for; keeping the parts separate lets callers — the
-// HTTP service above all — track and stream per-sweep completion.
-func (p *Planner) ExpandParts(sc *Scenario) ([][]spec.RunSpec, []spec.RunSpec, error) {
+// Expand flattens a scenario into its single campaign batch in
+// deterministic order: each sweep's jobs (cluster-major, then
+// benchmark, rank, clock), then the pinned single jobs. The batch is
+// exactly the set of simulations the scenario's renderer will ask the
+// engine for.
+func (p *Planner) Expand(sc *Scenario) ([]spec.RunSpec, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sweeps := make([][]spec.RunSpec, len(sc.Sweeps))
+	var jobs []spec.RunSpec
 	for si := range sc.Sweeps {
 		sw := &sc.Sweeps[si]
 		clusters, err := p.Clusters(sw.Clusters)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var net netsim.Spec
 		if sw.Net != nil {
 			net = *sw.Net
 		}
-		var jobs []spec.RunSpec
 		for _, cs := range clusters {
 			points, err := RankPoints(cs, sw.Points, p.Quick)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			clocks := ClockPoints(cs, sw.Clocks, p.Quick)
 			for _, name := range benchNames(sw.Benchmarks) {
@@ -140,16 +128,14 @@ func (p *Planner) ExpandParts(sc *Scenario) ([][]spec.RunSpec, []spec.RunSpec, e
 				}
 			}
 		}
-		sweeps[si] = jobs
 	}
-	var pinned []spec.RunSpec
 	for i := range sc.Jobs {
 		j := &sc.Jobs[i]
 		cs, err := machine.Get(j.Cluster)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		pinned = append(pinned, spec.RunSpec{
+		jobs = append(jobs, spec.RunSpec{
 			Benchmark: j.Benchmark,
 			Class:     j.Class,
 			Cluster:   cs,
@@ -161,45 +147,26 @@ func (p *Planner) ExpandParts(sc *Scenario) ([][]spec.RunSpec, []spec.RunSpec, e
 			},
 		})
 	}
-	return sweeps, pinned, nil
-}
-
-// Expand flattens a scenario into its single campaign batch: the sweep
-// batches in order, then the pinned jobs. See ExpandParts.
-func (p *Planner) Expand(sc *Scenario) ([]spec.RunSpec, error) {
-	sweeps, pinned, err := p.ExpandParts(sc)
-	if err != nil {
-		return nil, err
-	}
-	var jobs []spec.RunSpec
-	for _, b := range sweeps {
-		jobs = append(jobs, b...)
-	}
-	return append(jobs, pinned...), nil
+	return jobs, nil
 }
 
 // Enqueue expands a scenario and submits its whole batch to the
 // engine's asynchronous scheduler without waiting: one ticket per
 // expanded job, in plan order. Jobs start executing immediately on the
 // scheduler's worker pool; later engine requests for the same jobs —
-// from a bespoke figure renderer, the generic one, or a concurrent HTTP
-// request — coalesce onto the in-flight simulations instead of
-// re-running them. Per-job failures are memoized, not returned: the
-// renderer (or the ticket waiter) surfaces them with full context.
-//
-// ctx governs the submissions' interest: cancelling it drops the jobs
-// still queued (a service request abandoning a scenario releases the
-// queue for other callers), while running simulations always complete
-// and memoize.
-func (p *Planner) Enqueue(ctx context.Context, sc *Scenario) ([]*campaign.Ticket, error) {
+// from a bespoke figure renderer or the generic one — coalesce onto the
+// in-flight simulations instead of re-running them. Per-job failures
+// are memoized, not returned: the renderer (or the ticket waiter)
+// surfaces them with full context.
+func (p *Planner) Enqueue(sc *Scenario) ([]*campaign.Ticket, error) {
 	jobs, err := p.Expand(sc)
 	if err != nil {
 		return nil, err
 	}
-	e := p.engineFor(sc)
+	sched := p.engine().Scheduler()
 	tickets := make([]*campaign.Ticket, len(jobs))
 	for i, rs := range jobs {
-		tickets[i] = e.Submit(ctx, rs)
+		tickets[i] = sched.Submit(context.Background(), rs)
 	}
 	return tickets, nil
 }
@@ -209,7 +176,7 @@ func (p *Planner) Enqueue(ctx context.Context, sc *Scenario) ([]*campaign.Ticket
 // figure renderer or the generic one — is a memo hit. The blocking
 // counterpart of Enqueue.
 func (p *Planner) Warm(sc *Scenario) error {
-	tickets, err := p.Enqueue(context.Background(), sc)
+	tickets, err := p.Enqueue(sc)
 	if err != nil {
 		return err
 	}
@@ -228,43 +195,16 @@ func (p *Planner) Warm(sc *Scenario) error {
 // simulating, since the renderer's engine requests wait only on the
 // jobs they need.
 func (p *Planner) Execute(sc *Scenario, w io.Writer, outDir string) error {
-	return p.ExecuteCtx(context.Background(), sc, w, outDir)
-}
-
-// ExecuteCtx is Execute under a cancellable context: the batch is
-// enqueued with ctx (cancelling it drops the scenario's queued jobs,
-// modulo claims other callers hold), then rendered with Render.
-func (p *Planner) ExecuteCtx(ctx context.Context, sc *Scenario, w io.Writer, outDir string) error {
-	if _, err := p.Enqueue(ctx, sc); err != nil {
+	if _, err := p.Enqueue(sc); err != nil {
 		return err
 	}
-	return p.Render(ctx, sc, w, outDir)
-}
-
-// Render draws a scenario's artifacts without enqueueing its batch
-// first: each sweep's engine requests wait on — and coalesce with —
-// whatever is already submitted or memoized, simulating on demand
-// otherwise. Callers that submitted the expansion themselves (the HTTP
-// service tracks per-sweep tickets) use this to avoid double-claiming
-// every job. Rendering stops at the next sweep boundary once ctx is
-// cancelled, instead of re-submitting work the cancellation just
-// released.
-func (p *Planner) Render(ctx context.Context, sc *Scenario, w io.Writer, outDir string) error {
 	for si := range sc.Sweeps {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("scenario %s: abandoned before sweep %d: %w", sc.Name, si+1, err)
-		}
-		if err := p.renderSweep(ctx, sc, si, w, outDir); err != nil {
+		if err := p.renderSweep(sc, si, w, outDir); err != nil {
 			return err
 		}
 	}
 	if len(sc.Jobs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("scenario %s: abandoned before pinned jobs: %w", sc.Name, err)
-		}
-		if err := p.renderJobs(ctx, sc, w, outDir); err != nil {
-			return err
-		}
+		return p.renderJobs(sc, w, outDir)
 	}
 	return nil
 }
@@ -288,10 +228,8 @@ func sweepMetrics(sw *Sweep) ([]Metric, error) {
 
 // renderSweep draws one sweep: per cluster and metric, one plot with a
 // series per benchmark over the rank axis (or the clock axis for
-// frequency sweeps), each saved as CSV. Engine requests ride ctx, so an
-// abandoned scenario's renderer can never pin (or resurrect) jobs its
-// cancellation released.
-func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Writer, outDir string) error {
+// frequency sweeps), each saved as CSV.
+func (p *Planner) renderSweep(sc *Scenario, si int, w io.Writer, outDir string) error {
 	sw := &sc.Sweeps[si]
 	metrics, err := sweepMetrics(sw)
 	if err != nil {
@@ -327,9 +265,9 @@ func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Wr
 			var res []spec.RunResult
 			if len(clocks) > 0 {
 				base.Ranks = points[0]
-				res, err = p.engineFor(sc).FrequencySweepCtx(ctx, base, clocks)
+				res, err = p.engine().FrequencySweep(base, clocks)
 			} else {
-				res, err = p.engineFor(sc).SweepCtx(ctx, base, points)
+				res, err = p.engine().Sweep(base, points)
 			}
 			if err != nil {
 				return fmt.Errorf("scenario %s: sweep %d: %s on %s: %w",
@@ -365,7 +303,7 @@ func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Wr
 				return err
 			}
 			csv := fmt.Sprintf("%s_s%d_%s_%s.csv", sc.Name, si+1, m.Name, cs.Name)
-			if err := saveSeriesCSV(outDir, csv, xName, series); err != nil {
+			if err := report.SaveSeriesCSV(outDir, csv, xName, series); err != nil {
 				return err
 			}
 		}
@@ -374,7 +312,7 @@ func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Wr
 }
 
 // renderJobs draws the pinned single jobs as one summary table.
-func (p *Planner) renderJobs(ctx context.Context, sc *Scenario, w io.Writer, outDir string) error {
+func (p *Planner) renderJobs(sc *Scenario, w io.Writer, outDir string) error {
 	t := report.NewTable(
 		fmt.Sprintf("%s: pinned jobs", sc.Name),
 		"benchmark", "class", "cluster", "ranks", "wall", "perf", "mem BW",
@@ -385,7 +323,7 @@ func (p *Planner) renderJobs(ctx context.Context, sc *Scenario, w io.Writer, out
 		if err != nil {
 			return err
 		}
-		outs := p.engineFor(sc).RunCtx(ctx, []spec.RunSpec{{
+		outs := p.engine().Run([]spec.RunSpec{{
 			Benchmark: j.Benchmark,
 			Class:     j.Class,
 			Cluster:   cs,
@@ -412,37 +350,5 @@ func (p *Planner) renderJobs(ctx context.Context, sc *Scenario, w io.Writer, out
 	if err := t.Write(w); err != nil {
 		return err
 	}
-	return saveCSV(outDir, sc.Name+"_jobs.csv", t)
-}
-
-// saveCSV writes a table as CSV into dir ("" = no artifacts).
-func saveCSV(dir, name string, t *report.Table) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
-// saveSeriesCSV writes plot series as CSV into dir ("" = no artifacts).
-func saveSeriesCSV(dir, name, xName string, series []report.Series) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.SeriesCSV(f, xName, series)
+	return report.SaveCSV(outDir, sc.Name+"_jobs.csv", t)
 }

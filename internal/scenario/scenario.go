@@ -7,23 +7,24 @@
 // Scenarios come from two places. The built-in figures of the paper
 // (internal/figures) define their job plans as Scenario values and keep
 // bespoke renderers; user studies are loaded from scenario files (see
-// Load) and rendered generically, so new studies — different kernels,
+// LoadFile) and rendered generically, so new studies — different kernels,
 // rank ladders, clock sweeps, even modified interconnects — need no Go.
+// User studies run through the CLIs (spechpc -scenario, figures
+// -scenario); the HTTP daemon serves single jobs only.
 //
 // Every simulation a scenario requests flows through one
 // campaign.Engine, so jobs parallelize across host cores, duplicate jobs
 // within and across scenarios are simulated at most once per process,
 // and — with a persistent store attached — at most once per cache
-// directory, across processes.
+// directory, across processes: a CLI whose -cache-dir is the daemon's
+// store reuses every result the daemon simulated, and vice versa.
 package scenario
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
-	"github.com/spechpc/spechpc-sim/internal/campaign"
 	"github.com/spechpc/spechpc-sim/internal/netsim"
 )
 
@@ -200,21 +201,6 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// ParseMode maps the scenario/service mode names onto campaign query
-// modes: "exact" (or empty, the default) always simulates; "fast" lets
-// in-tolerance surrogate answers skip simulation, falling back to the
-// exact tier on refusal. See docs/SCENARIOS.md.
-func ParseMode(s string) (campaign.Mode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "exact":
-		return campaign.Exact, nil
-	case "fast":
-		return campaign.Fast, nil
-	default:
-		return campaign.Exact, fmt.Errorf("scenario: unknown mode %q (want exact or fast)", s)
-	}
-}
-
 // Scenario is one declarative study: any number of sweeps plus pinned
 // single jobs.
 type Scenario struct {
@@ -224,11 +210,6 @@ type Scenario struct {
 	Title  string
 	Sweeps []Sweep
 	Jobs   []Job
-	// Mode selects the query tier for every run the scenario requests:
-	// campaign.Exact (zero value) always simulates, campaign.Fast serves
-	// in-tolerance surrogate answers when the planner's engine has a
-	// predictor attached and falls back to exact simulation otherwise.
-	Mode campaign.Mode
 }
 
 // Validate checks the scenario as a whole.
@@ -238,9 +219,6 @@ func (sc *Scenario) Validate() error {
 	}
 	if len(sc.Sweeps) == 0 && len(sc.Jobs) == 0 {
 		return fmt.Errorf("scenario %s: no sweeps and no jobs", sc.Name)
-	}
-	if sc.Mode != campaign.Exact && sc.Mode != campaign.Fast {
-		return fmt.Errorf("scenario %s: unknown mode %d", sc.Name, sc.Mode)
 	}
 	for i := range sc.Sweeps {
 		if err := sc.Sweeps[i].Validate(); err != nil {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,9 +85,10 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
-// TestLoadRejects pins the loader's error behaviour: unknown keys,
-// unknown metrics, unknown classes, clock sweeps over many rank points,
-// and empty scenarios all fail loudly.
+// TestLoadRejects pins the loader's error behaviour: unknown keys
+// (including "mode", a job-only field), unknown metrics, unknown
+// classes, clock sweeps over many rank points, and empty scenarios all
+// fail loudly.
 func TestLoadRejects(t *testing.T) {
 	cases := []struct {
 		name, doc, want string
@@ -104,6 +104,7 @@ func TestLoadRejects(t *testing.T) {
 		{"no points", `{"name":"x","sweeps":[{"class":"tiny"}]}`, "without points"},
 		{"job without cluster", `{"name":"x","jobs":[{"benchmark":"lbm","ranks":2}]}`, "without cluster"},
 		{"trailing content", `{"name":"x","sweeps":[{"class":"tiny","points":"node"}]} {"name":"y"}`, "trailing content"},
+		{"query mode", `{"name":"x","mode":"fast","sweeps":[{"class":"tiny","points":"node"}]}`, `unknown field "mode"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse([]byte(c.doc), "x"); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -261,11 +262,11 @@ func TestWarmCoversRender(t *testing.T) {
 	}
 	st := p.Engine.Stats()
 	for si := range sc.Sweeps {
-		if err := p.renderSweep(context.Background(), sc, si, &strings.Builder{}, ""); err != nil {
+		if err := p.renderSweep(sc, si, &strings.Builder{}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.renderJobs(context.Background(), sc, &strings.Builder{}, ""); err != nil {
+	if err := p.renderJobs(sc, &strings.Builder{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Engine.Stats(); got.Misses != st.Misses {

@@ -15,14 +15,13 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
-// jobSub is one HTTP-submitted job: the ticket plus the submission's
-// cancel handle (DELETE releases the claim; the scheduler drops the job
-// if no other submission wants it).
+// jobSub is one HTTP-submitted job. DELETE cancels its ticket, which
+// releases the submission's claim: the scheduler drops the job if no
+// other submission wants it.
 type jobSub struct {
 	id     string
 	req    jobRequest
 	ticket *campaign.Ticket
-	cancel context.CancelFunc
 }
 
 // jobRequest is the POST /api/v1/jobs body.
@@ -44,9 +43,18 @@ type jobRequest struct {
 	Mode string `json:"mode"`
 }
 
-// mode resolves the request's query tier.
+// mode resolves the request's query tier: "exact" (or empty, the
+// default) always simulates; "fast" lets an in-tolerance surrogate
+// answer skip simulation, falling back to the exact tier on refusal.
 func (jr jobRequest) mode() (campaign.Mode, error) {
-	return scenario.ParseMode(jr.Mode)
+	switch strings.ToLower(strings.TrimSpace(jr.Mode)) {
+	case "", "exact":
+		return campaign.Exact, nil
+	case "fast":
+		return campaign.Fast, nil
+	default:
+		return campaign.Exact, fmt.Errorf("unknown mode %q (want exact or fast)", jr.Mode)
+	}
 }
 
 // runSpec resolves the request into a RunSpec, validating every field
@@ -71,6 +79,9 @@ func (jr jobRequest) runSpec() (spec.RunSpec, error) {
 	}
 	if jr.Ranks <= 0 {
 		return spec.RunSpec{}, fmt.Errorf("ranks must be positive, got %d", jr.Ranks)
+	}
+	if jr.Ranks > cs.MaxRanks() {
+		return spec.RunSpec{}, fmt.Errorf("ranks %d exceed %s capacity %d", jr.Ranks, cs.Name, cs.MaxRanks())
 	}
 	if jr.ClockGHz < 0 || jr.SimSteps < 0 || jr.ScaleDiv < 0 {
 		return spec.RunSpec{}, fmt.Errorf("negative clock_ghz/sim_steps/scale_div")
@@ -179,12 +190,13 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job: %v", err)
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ticket := s.sched.SubmitMode(ctx, rs, jr.Priority, mode)
+	// A background context: the ticket itself is the cancel handle
+	// (DELETE, Close), so no per-job watcher goroutine is needed.
+	ticket := s.sched.SubmitMode(context.Background(), rs, jr.Priority, mode)
 
 	s.mu.Lock()
 	s.nextJob++
-	js := &jobSub{id: fmt.Sprintf("j-%d", s.nextJob), req: jr, ticket: ticket, cancel: cancel}
+	js := &jobSub{id: fmt.Sprintf("j-%d", s.nextJob), req: jr, ticket: ticket}
 	s.jobs[js.id] = js
 	s.jobOrder = append(s.jobOrder, js.id)
 	s.evictJobsLocked()
@@ -237,7 +249,6 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	js.cancel()
 	js.ticket.Cancel()
 	writeJSON(w, http.StatusOK, js.status(true))
 }

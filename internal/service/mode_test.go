@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/campaign"
@@ -39,7 +38,7 @@ func newSurrogateServer(t *testing.T) (*httptest.Server, *surrogate.Index, *camp
 		idx.Observe(res)
 	}
 	sched := campaign.NewScheduler(2, nil)
-	srv := New(sched, Options{Quick: true, ArtifactDir: t.TempDir(), Surrogate: idx})
+	srv := New(sched, Options{Surrogate: idx})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -170,53 +169,5 @@ func TestJobModeValidation(t *testing.T) {
 	}
 	if e["error"] == "" {
 		t.Error("mode=turbo: no error message")
-	}
-}
-
-// TestScenarioModeFast runs a whole scenario through the fast tier: all
-// of its points sit inside the fitted hull, so the study completes with
-// zero fresh simulations and the run reports its mode.
-func TestScenarioModeFast(t *testing.T) {
-	ts, _, _ := newSurrogateServer(t)
-
-	doc := `{
-	  "name": "fastsvc",
-	  "mode": "fast",
-	  "sweeps": [
-	    {"benchmarks": ["tealeaf"], "clusters": ["ClusterA"], "points": [2, 8, 20], "metrics": ["wall_s"]}
-	  ]
-	}`
-	var sub scenarioStatus
-	resp := doJSON(t, http.MethodPost, ts.URL+"/api/v1/scenarios", doc, &sub)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d: %+v", resp.StatusCode, sub)
-	}
-	if sub.Mode != "fast" {
-		t.Errorf("scenario mode = %q, want fast", sub.Mode)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	var st scenarioStatus
-	for {
-		doJSON(t, http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID, "", &st)
-		if st.State == "done" || st.State == "failed" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scenario never finished: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.State != "done" {
-		t.Fatalf("scenario ended as %s (%s)", st.State, st.Error)
-	}
-
-	var stats statszResponse
-	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
-	if stats.Campaign.FreshSims != 0 {
-		t.Errorf("fresh_sims = %d, want 0 (the whole study rode the surrogate)", stats.Campaign.FreshSims)
-	}
-	if stats.Campaign.SurrogateHits < 3 {
-		t.Errorf("surrogate_hits = %d, want >= 3 (one per sweep point)", stats.Campaign.SurrogateHits)
 	}
 }

@@ -4,13 +4,14 @@
 // API instead of a CLI invocation.
 //
 // A Server wraps one long-lived campaign.Scheduler. Clients submit
-// single jobs or whole declarative scenarios (the docs/SCENARIOS.md
-// format), poll their status, and fetch results as JSON or CSV.
+// single jobs, poll their status, and fetch results as JSON or CSV.
 // Identical submissions — across requests, and across HTTP and any
-// in-process planner use of the same scheduler — coalesce onto one
-// simulation; with a persistent store attached, results also survive
-// restarts, so a repeated query costs a disk read. cmd/spechpcd is the
-// daemon front end.
+// in-process use of the same scheduler — coalesce onto one simulation;
+// with a persistent store attached, results also survive restarts, so a
+// repeated query costs a disk read. Whole studies (scenario files) run
+// through the CLIs instead (spechpc -scenario, figures -scenario);
+// pointed at the daemon's -cache-dir, they share its results.
+// cmd/spechpcd is the daemon front end.
 //
 // Endpoints (all under the mux returned by Handler):
 //
@@ -24,13 +25,6 @@
 //	GET    /api/v1/jobs/{id}              job status + result
 //	DELETE /api/v1/jobs/{id}              cancel a queued job
 //	GET    /api/v1/jobs/{id}/csv          result metrics as CSV
-//	POST   /api/v1/scenarios              submit a scenario document
-//	GET    /api/v1/scenarios              list submitted scenarios
-//	GET    /api/v1/scenarios/{id}         per-sweep progress
-//	DELETE /api/v1/scenarios/{id}         cancel queued scenario jobs
-//	GET    /api/v1/scenarios/{id}/output  rendered plots/tables (streams)
-//	GET    /api/v1/scenarios/{id}/artifacts        CSV artifact list
-//	GET    /api/v1/scenarios/{id}/artifacts/{name} one CSV artifact
 package service
 
 import (
@@ -38,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,22 +40,12 @@ import (
 	_ "github.com/spechpc/spechpc-sim/internal/benchmarks/suite" // register all kernels
 	"github.com/spechpc/spechpc-sim/internal/campaign"
 	"github.com/spechpc/spechpc-sim/internal/machine"
-	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/sim/psim"
 	"github.com/spechpc/spechpc-sim/internal/surrogate"
 )
 
 // Options tunes a Server.
 type Options struct {
-	// Quick runs scenarios at reduced sweep resolution (the planner's
-	// quick mode) — smoke tests and demo deployments.
-	Quick bool
-	// DefaultClusters resolves scenario sweeps that name no clusters;
-	// empty means the paper's two systems.
-	DefaultClusters []string
-	// ArtifactDir is where scenario CSV artifacts are written (one
-	// subdirectory per scenario). Empty selects a temp directory.
-	ArtifactDir string
 	// Surrogate attaches the analytic fast tier: New registers the index
 	// as the scheduler's predictor (and feedback observer), mode=fast
 	// submissions may be answered from its fitted models, and /statsz
@@ -73,17 +56,13 @@ type Options struct {
 // Server serves the campaign scheduler over HTTP. Construct with New;
 // all methods are safe for concurrent use.
 type Server struct {
-	sched  *campaign.Scheduler
-	engine *campaign.Engine
-	opts   Options
+	sched *campaign.Scheduler
+	opts  Options
 
 	mu       sync.Mutex
 	jobs     map[string]*jobSub
 	jobOrder []string
-	runs     map[string]*scenarioRun
-	runOrder []string
 	nextJob  int
-	nextRun  int
 
 	// Store-usage cache for /statsz: walking a big store per scrape
 	// would be O(records) disk I/O, so the numbers refresh at most once
@@ -97,30 +76,25 @@ type Server struct {
 }
 
 // New wraps a scheduler in a Server. The scheduler may be shared with
-// in-process planners; the service's submissions coalesce with theirs.
+// in-process callers; the service's submissions coalesce with theirs.
 func New(sched *campaign.Scheduler, opts Options) *Server {
 	if opts.Surrogate != nil {
 		sched.SetPredictor(opts.Surrogate)
 	}
 	return &Server{
-		sched:  sched,
-		engine: campaign.NewWithScheduler(sched),
-		opts:   opts,
-		jobs:   map[string]*jobSub{},
-		runs:   map[string]*scenarioRun{},
+		sched: sched,
+		opts:  opts,
+		jobs:  map[string]*jobSub{},
 	}
 }
 
-// Retention caps: the daemon keeps a bounded history of finished
-// submissions so a sustained workload cannot grow its memory (and, for
-// temp scenario artifacts, /tmp) without bound. Only resolved entries
-// are evicted — in-flight work always survives — oldest first; with a
-// persistent store attached, an evicted job's result remains one
-// identical resubmission away.
-const (
-	maxRetainedJobs = 1024
-	maxRetainedRuns = 64
-)
+// maxRetainedJobs caps the job history: the daemon keeps a bounded
+// record of finished submissions so a sustained workload cannot grow
+// its memory without bound. Only resolved jobs are evicted — in-flight
+// work always survives — oldest first; with a persistent store
+// attached, an evicted job's result remains one identical resubmission
+// away.
+const maxRetainedJobs = 1024
 
 // evictJobsLocked trims resolved job history down to the cap. Callers
 // hold s.mu.
@@ -144,31 +118,6 @@ func (s *Server) evictJobsLocked() {
 	s.jobOrder = kept
 }
 
-// evictRunsLocked trims finished scenario history down to the cap,
-// removing temp artifact directories. Callers hold s.mu.
-func (s *Server) evictRunsLocked() {
-	if len(s.runOrder) <= maxRetainedRuns {
-		return
-	}
-	kept := s.runOrder[:0]
-	over := len(s.runOrder) - maxRetainedRuns
-	for _, id := range s.runOrder {
-		run := s.runs[id]
-		if over > 0 {
-			if state, _ := run.snapshot(); state != "running" {
-				delete(s.runs, id)
-				over--
-				if s.opts.ArtifactDir == "" && run.artDir != "" {
-					os.RemoveAll(run.artDir)
-				}
-				continue
-			}
-		}
-		kept = append(kept, id)
-	}
-	s.runOrder = kept
-}
-
 // Handler returns the service mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -182,24 +131,25 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJobStatus)
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/csv", s.handleJobCSV)
-	mux.HandleFunc("POST /api/v1/scenarios", s.handleSubmitScenario)
-	mux.HandleFunc("GET /api/v1/scenarios", s.handleListScenarios)
-	mux.HandleFunc("GET /api/v1/scenarios/{id}", s.handleScenarioStatus)
-	mux.HandleFunc("DELETE /api/v1/scenarios/{id}", s.handleCancelScenario)
-	mux.HandleFunc("GET /api/v1/scenarios/{id}/output", s.handleScenarioOutput)
-	mux.HandleFunc("GET /api/v1/scenarios/{id}/artifacts", s.handleScenarioArtifacts)
-	mux.HandleFunc("GET /api/v1/scenarios/{id}/artifacts/{name}", s.handleScenarioArtifact)
 	return mux
 }
 
-// planner builds a fresh planner view over the shared engine; scenario
-// expansion through it lands on the scheduler every HTTP submission
-// shares.
-func (s *Server) planner() *scenario.Planner {
-	return &scenario.Planner{
-		Engine:          s.engine,
-		Quick:           s.opts.Quick,
-		DefaultClusters: s.opts.DefaultClusters,
+// Close flips /readyz to draining and releases every submission's
+// claim on its job: queued jobs no other caller wants are dropped,
+// running simulations complete and memoize. The daemon calls this on
+// graceful shutdown, before closing the scheduler.
+func (s *Server) Close() {
+	// Unready first: /readyz flips before any work is cancelled, so a
+	// load balancer stops routing here while the drain proceeds.
+	s.draining.Store(true)
+	s.mu.Lock()
+	jobs := make([]*jobSub, 0, len(s.jobs))
+	for _, js := range s.jobs {
+		jobs = append(jobs, js)
+	}
+	s.mu.Unlock()
+	for _, js := range jobs {
+		js.ticket.Cancel()
 	}
 }
 
@@ -217,8 +167,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes caps every request body the service reads: a job or
-// scenario document is a few KiB, so anything near this size is abuse
+// maxBodyBytes caps every request body the service reads: a job
+// request is a few hundred bytes, so anything near this size is abuse
 // and must not be buffered in full before validation rejects it.
 const maxBodyBytes = 1 << 20
 
@@ -252,14 +202,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // statszResponse is the /statsz schema. The campaign counter names
 // mirror Stats.String(): scripts/service_smoke.sh reads fresh_sims to
-// assert a warm service re-serves a scenario without simulating.
+// assert a warm service re-serves a repeated job without simulating.
 type statszResponse struct {
 	Campaign   statszCampaign `json:"campaign"`
 	Workers    int            `json:"workers"`
 	QueueDepth int            `json:"queue_depth"`
 	Active     int            `json:"active"`
 	Jobs       int            `json:"jobs_submitted"`
-	Scenarios  int            `json:"scenarios_submitted"`
 	Store      *statszStore   `json:"store"`
 	// Surrogate is present when an analytic surrogate index is attached
 	// (Options.Surrogate).
@@ -318,7 +267,7 @@ type statszStore struct {
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	st := s.sched.Stats()
 	s.mu.Lock()
-	jobs, runs := len(s.jobs), len(s.runs)
+	jobs := len(s.jobs)
 	s.mu.Unlock()
 	resp := statszResponse{
 		Campaign: statszCampaign{
@@ -337,7 +286,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: s.sched.QueueDepth(),
 		Active:     s.sched.Active(),
 		Jobs:       jobs,
-		Scenarios:  runs,
 	}
 	resp.Store = s.storeUsage()
 	if idx := s.opts.Surrogate; idx != nil {

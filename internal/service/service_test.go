@@ -2,22 +2,25 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/spechpc/spechpc-sim/internal/campaign"
+	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
-// newTestServer builds a quick-mode server over a fresh scheduler and
-// an httptest front end. The caller owns both.
+// newTestServer builds a server over a fresh scheduler and an httptest
+// front end; cleanup closes all three.
 func newTestServer(t *testing.T, store campaign.Store) (*Server, *httptest.Server, *campaign.Scheduler) {
 	t.Helper()
 	sched := campaign.NewScheduler(4, store)
-	srv := New(sched, Options{Quick: true, ArtifactDir: t.TempDir()})
+	srv := New(sched, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -195,6 +198,7 @@ func TestJobValidation(t *testing.T) {
 		`{"benchmark":"no-such","cluster":"A","ranks":2}`,          // unknown kernel
 		`{"benchmark":"tealeaf","cluster":"Nowhere","ranks":2}`,    // unknown cluster
 		`{"benchmark":"tealeaf","cluster":"A","ranks":0}`,          // bad ranks
+		`{"benchmark":"tealeaf","cluster":"A","ranks":1153}`,       // above ClusterA's 1152 cores
 		`{"benchmark":"tealeaf","cluster":"A","ranks":2,"x":true}`, // unknown key
 		`not json at all`,
 	} {
@@ -255,7 +259,7 @@ func TestJobCoalescingAcrossRequests(t *testing.T) {
 // a queued second job over HTTP before it can start.
 func TestJobCancellation(t *testing.T) {
 	sched := campaign.NewScheduler(1, nil)
-	srv := New(sched, Options{Quick: true, ArtifactDir: t.TempDir()})
+	srv := New(sched, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close(); sched.Close() }()
 
@@ -285,155 +289,48 @@ func TestJobCancellation(t *testing.T) {
 	}
 }
 
-// scenarioDoc is a small two-sweep scenario exercising per-sweep
-// progress, output streaming, and CSV artifacts.
-const scenarioDoc = `{
-  // service test scenario
-  "name": "svc",
-  "title": "service round trip",
-  "sweeps": [
-    {"benchmarks": ["tealeaf"], "clusters": ["ClusterA"], "points": [1, 2], "metrics": ["wall_s"]},
-    {"benchmarks": ["lbm"], "clusters": ["ClusterA"], "points": [2], "metrics": ["speedup"]}
-  ],
-  "jobs": [
-    {"benchmark": "tealeaf", "cluster": "ClusterA", "ranks": 2}
-  ]
-}`
-
-// TestScenarioLifecycle submits a scenario and follows it to
-// completion: per-sweep progress, streamed output, artifact list, and
-// artifact content.
-func TestScenarioLifecycle(t *testing.T) {
-	_, ts, _ := newTestServer(t, nil)
-
-	var sub scenarioStatus
-	resp := doJSON(t, http.MethodPost, ts.URL+"/api/v1/scenarios", scenarioDoc, &sub)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d: %+v", resp.StatusCode, sub)
-	}
-	if len(sub.Sweeps) != 2 || sub.Sweeps[0].Total != 2 || sub.Sweeps[1].Total != 1 {
-		t.Fatalf("per-sweep totals wrong: %+v", sub.Sweeps)
-	}
-	if sub.PinnedJobs != 1 {
-		t.Fatalf("pinned jobs = %d, want 1", sub.PinnedJobs)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	var st scenarioStatus
-	for {
-		doJSON(t, http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID, "", &st)
-		if st.State == "done" || st.State == "failed" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scenario never finished: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.State != "done" {
-		t.Fatalf("scenario ended as %s (%s)", st.State, st.Error)
-	}
-	for i, sw := range st.Sweeps {
-		if sw.Done != sw.Total || sw.Failed != 0 {
-			t.Errorf("sweep %d progress = %+v, want all done", i+1, sw)
-		}
-	}
-	if st.PinnedDone != 1 {
-		t.Errorf("pinned done = %d, want 1", st.PinnedDone)
-	}
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID+"/output", nil)
-	or, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	output := readAll(t, or)
-	if or.Header.Get("X-Scenario-State") != "done" {
-		t.Errorf("output state header = %q", or.Header.Get("X-Scenario-State"))
-	}
-	if !strings.Contains(output, "svc:") || !strings.Contains(output, "pinned jobs") {
-		t.Errorf("rendered output incomplete:\n%s", output)
-	}
-
-	var artifacts []string
-	doJSON(t, http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID+"/artifacts", "", &artifacts)
-	if len(artifacts) == 0 {
-		t.Fatal("no CSV artifacts listed")
-	}
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID+"/artifacts/"+artifacts[0], nil)
-	ar, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ar.StatusCode != 200 {
-		t.Fatalf("artifact fetch status %d", ar.StatusCode)
-	}
-	if body := readAll(t, ar); !strings.Contains(body, ",") {
-		t.Errorf("artifact %s is not CSV:\n%s", artifacts[0], body)
-	}
-
-	var list []scenarioStatus
-	doJSON(t, http.MethodGet, ts.URL+"/api/v1/scenarios", "", &list)
-	if len(list) != 1 || list[0].ID != sub.ID {
-		t.Errorf("scenario list = %+v", list)
-	}
-}
-
-// TestScenarioValidationAndCancel rejects malformed scenario documents
-// and round-trips DELETE on a live run.
-func TestScenarioValidationAndCancel(t *testing.T) {
-	_, ts, _ := newTestServer(t, nil)
-
-	for _, body := range []string{
-		`{"name":"x"}`, // no sweeps, no jobs
-		`{"name":"x","sweeps":[{"benchmarks":["nope"],"points":[1]}]}`, // unknown kernel
-		`{"name":"x","sweeps":[{"points":"bogus-preset"}]}`,            // bad preset
-		`{broken`,
-	} {
-		var e map[string]string
-		resp := doJSON(t, http.MethodPost, ts.URL+"/api/v1/scenarios", body, &e)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
-		}
-	}
-	if resp := doJSON(t, http.MethodGet, ts.URL+"/api/v1/scenarios/s-99", "", new(map[string]string)); resp.StatusCode != 404 {
-		t.Errorf("unknown scenario: status %d, want 404", resp.StatusCode)
-	}
-
-	var sub scenarioStatus
-	doJSON(t, http.MethodPost, ts.URL+"/api/v1/scenarios", scenarioDoc, &sub)
-	var cancelled scenarioStatus
-	if resp := doJSON(t, http.MethodDelete, ts.URL+"/api/v1/scenarios/"+sub.ID, "", &cancelled); resp.StatusCode != 200 {
-		t.Errorf("cancel status %d", resp.StatusCode)
-	}
-	// Artifact path traversal is rejected.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/scenarios/"+sub.ID+"/artifacts/..%2Fsecrets.csv", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
-		t.Errorf("traversal artifact name: status %d, want 400/404", resp.StatusCode)
-	}
-}
-
-// TestRequestBodyCap posts a body just over the cap to each submission
-// route: both must refuse it with 413 before validation runs, instead of
-// buffering it in full (jobs) or truncating it into a parse error
-// (scenarios).
+// TestRequestBodyCap posts a job body just over the cap: it must be
+// refused with 413 before validation runs, instead of being buffered in
+// full.
 func TestRequestBodyCap(t *testing.T) {
 	srv, _, _ := newTestServer(t, nil)
-	huge := strings.Repeat("x", maxBodyBytes+4096)
-	for _, tc := range []struct{ path, body string }{
-		{"/api/v1/jobs", `{"benchmark":"` + huge + `","cluster":"A","ranks":1}`},
-		{"/api/v1/scenarios", `{"name":"x","title":"` + huge + `"}`},
-	} {
+	body := `{"benchmark":"` + strings.Repeat("x", maxBodyBytes+4096) + `","cluster":"A","ranks":1}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /api/v1/jobs with a %d-byte body = %d, want 413", len(body), rec.Code)
+	}
+}
+
+// TestQueuedJobsSpawnNoGoroutines queues 200 jobs behind a runner that
+// blocks the only worker: a queued HTTP job must cost a queue entry,
+// not a goroutine, so the goroutine count stays nearly flat.
+func TestQueuedJobsSpawnNoGoroutines(t *testing.T) {
+	const jobs = 200
+	release := make(chan struct{})
+	sched := campaign.NewScheduler(1, nil)
+	sched.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
+		<-release
+		return spec.RunResult{Spec: rs}, nil
+	})
+	srv := New(sched, Options{})
+	defer func() { close(release); srv.Close(); sched.Close() }()
+	h := srv.Handler()
+
+	before := runtime.NumGoroutine()
+	for i := 1; i <= jobs; i++ {
+		body := fmt.Sprintf(`{"benchmark":"tealeaf","cluster":"A","ranks":%d}`, i)
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s with a %d-byte body = %d, want 413", tc.path, len(tc.body), rec.Code)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("job %d: status %d: %s", i, rec.Code, rec.Body)
 		}
+	}
+	if depth := sched.QueueDepth(); depth < jobs-1 {
+		t.Fatalf("queue depth %d, want the %d jobs behind the blocked worker", depth, jobs-1)
+	}
+	if grown := runtime.NumGoroutine() - before; grown > jobs/10 {
+		t.Errorf("%d queued jobs grew the goroutine count by %d, want ~0 (one worker)", jobs, grown)
 	}
 }
 
@@ -455,10 +352,11 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 }
 
-// TestFleetEndpointsAbsentStandalone checks the daemon registers no
-// /api/v1/fleet/ route: one process runs every job, so no path accepts
-// dispatched work, worker membership, or remote store traffic.
-func TestFleetEndpointsAbsentStandalone(t *testing.T) {
+// TestRemovedRoutesNotFound checks the daemon registers neither an
+// /api/v1/fleet/ route (one process runs every job, so no path accepts
+// dispatched work, worker membership, or remote store traffic) nor an
+// /api/v1/scenarios route (studies run through the CLIs).
+func TestRemovedRoutesNotFound(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
 	for _, rt := range []struct{ method, path string }{
 		{http.MethodPost, "/api/v1/fleet/run"},
@@ -467,6 +365,13 @@ func TestFleetEndpointsAbsentStandalone(t *testing.T) {
 		{http.MethodGet, "/api/v1/fleet/workers"},
 		{http.MethodGet, "/api/v1/fleet/store/k"},
 		{http.MethodPut, "/api/v1/fleet/store/k"},
+		{http.MethodPost, "/api/v1/scenarios"},
+		{http.MethodGet, "/api/v1/scenarios"},
+		{http.MethodGet, "/api/v1/scenarios/s-1"},
+		{http.MethodDelete, "/api/v1/scenarios/s-1"},
+		{http.MethodGet, "/api/v1/scenarios/s-1/output"},
+		{http.MethodGet, "/api/v1/scenarios/s-1/artifacts"},
+		{http.MethodGet, "/api/v1/scenarios/s-1/artifacts/x.csv"},
 	} {
 		if resp := doJSON(t, rt.method, ts.URL+rt.path, "{}", nil); resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s %s = %d, want 404", rt.method, rt.path, resp.StatusCode)

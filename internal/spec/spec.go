@@ -73,6 +73,13 @@ func Run(rs RunSpec) (RunResult, error) {
 	if rs.Ranks <= 0 {
 		return RunResult{}, fmt.Errorf("spec: non-positive rank count")
 	}
+	// Checked before anything is sized by the rank count: the trace
+	// recorder allocates per rank, and mpi.Run's own capacity check
+	// comes after it.
+	if rs.Ranks > rs.Cluster.MaxRanks() {
+		return RunResult{}, fmt.Errorf("spec: %d ranks exceed %s capacity %d",
+			rs.Ranks, rs.Cluster.Name, rs.Cluster.MaxRanks())
+	}
 	cluster := rs.Cluster
 	if rs.ClockHz > 0 {
 		// Memoized: a frequency sweep derives and validates each ladder

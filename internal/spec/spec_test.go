@@ -58,6 +58,18 @@ func TestRunUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRanksAboveCapacity: a rank count beyond the cluster's
+// cores is an error, returned before anything is sized by it (1<<62
+// ranks would otherwise panic allocating the per-rank trace).
+func TestRunRejectsRanksAboveCapacity(t *testing.T) {
+	for _, ranks := range []int{machine.ClusterA().MaxRanks() + 1, 1 << 62} {
+		_, err := Run(RunSpec{Benchmark: "tealeaf", Class: bench.Tiny, Cluster: machine.ClusterA(), Ranks: ranks})
+		if err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Errorf("ranks=%d: err = %v, want a capacity error", ranks, err)
+		}
+	}
+}
+
 func TestNodePointsCoverDomainsAndNode(t *testing.T) {
 	for _, cs := range []*machine.ClusterSpec{machine.ClusterA(), machine.ClusterB()} {
 		pts := NodePoints(cs)

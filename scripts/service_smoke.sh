@@ -1,15 +1,15 @@
 #!/bin/sh
 # End-to-end smoke test of the spechpcd HTTP service (run by CI): start
-# the daemon against a temp cache directory, submit a scenario, wait for
-# it to finish, then submit the identical scenario again and fail unless
-# the second pass performs ZERO fresh simulations — the proof that the
-# serving layer's store lookups and cross-request coalescing make a
-# repeated query free. Finishes with a graceful SIGTERM shutdown check.
+# the daemon against a temp cache directory, submit a job, wait for it
+# to finish, then submit the identical job again and fail unless the
+# second pass performs ZERO fresh simulations — the proof that the
+# serving layer's memo, store lookups and cross-request coalescing make
+# a repeated query free. Finishes with a graceful SIGTERM shutdown check.
 #
-# Usage: scripts/service_smoke.sh [scenario-file]
+# Usage: scripts/service_smoke.sh [job-json]
 set -eu
 
-scenario=${1:-examples/custom_scenario/scenario.json}
+job=${1:-'{"benchmark":"tealeaf","cluster":"A","class":"tiny","ranks":26,"sim_steps":2}'}
 workdir=$(mktemp -d)
 daemon_pid=""
 cleanup() {
@@ -21,8 +21,7 @@ trap cleanup EXIT
 echo "service_smoke: building cmd/spechpcd"
 go build -o "$workdir/spechpcd" ./cmd/spechpcd
 
-"$workdir/spechpcd" -addr 127.0.0.1:0 -quick -parallel 4 \
-    -cache-dir "$workdir/store" -artifacts "$workdir/artifacts" \
+"$workdir/spechpcd" -addr 127.0.0.1:0 -parallel 4 -cache-dir "$workdir/store" \
     >"$workdir/daemon.log" 2>"$workdir/daemon.err" &
 daemon_pid=$!
 
@@ -57,35 +56,35 @@ json_field() {
 }
 
 submit_and_wait() { # submit_and_wait <label>
-    curl -sf -X POST --data-binary "@$scenario" \
-        "$base/api/v1/scenarios" >"$workdir/$1.json"
-    sid=$(json_field id "$workdir/$1.json")
-    if [ -z "$sid" ]; then
+    curl -sf -X POST --data-binary "$job" \
+        "$base/api/v1/jobs" >"$workdir/$1.json"
+    jid=$(json_field id "$workdir/$1.json")
+    if [ -z "$jid" ]; then
         echo "service_smoke: $1: submission returned no id" >&2
         cat "$workdir/$1.json" >&2
         exit 1
     fi
     state=""
     for _ in $(seq 1 600); do
-        curl -sf "$base/api/v1/scenarios/$sid" >"$workdir/$1.status.json"
+        curl -sf "$base/api/v1/jobs/$jid" >"$workdir/$1.status.json"
         state=$(json_field state "$workdir/$1.status.json")
-        [ "$state" = "done" ] || [ "$state" = "failed" ] && break
+        [ "$state" = "done" ] || [ "$state" = "failed" ] || [ "$state" = "cancelled" ] && break
         sleep 0.2
     done
     if [ "$state" != "done" ]; then
-        echo "service_smoke: $1: scenario ended as '$state'" >&2
+        echo "service_smoke: $1: job ended as '$state'" >&2
         cat "$workdir/$1.status.json" >&2
         exit 1
     fi
     curl -sf "$base/statsz" >"$workdir/$1.statsz.json"
     fresh=$(json_field fresh_sims "$workdir/$1.statsz.json")
-    echo "service_smoke: $1: scenario $sid done, cumulative fresh_sims=$fresh"
+    echo "service_smoke: $1: job $jid done, cumulative fresh_sims=$fresh"
 }
 
 submit_and_wait cold
 cold_fresh=$fresh
 if [ "$cold_fresh" -eq 0 ]; then
-    echo "service_smoke: cold pass simulated nothing - scenario too small?" >&2
+    echo "service_smoke: cold pass simulated nothing - job already cached?" >&2
     exit 1
 fi
 
