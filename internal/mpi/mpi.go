@@ -352,8 +352,8 @@ func (j *Job) post(srcRank, dstRank int, delay float64, fn func(any), arg any) {
 
 // jobPool recycles Job state across runs. Like the sim environment pool,
 // each campaign worker acquires its own Job, so reuse is race-free by
-// construction; failed runs (deadlock, panic) are abandoned to the GC
-// because blocked rank goroutines may still reference them.
+// construction; the Job of a failed run (deadlock, panic) is dropped
+// because ranks unwound mid-call may have left it inconsistent.
 var jobPool = sync.Pool{New: func() any { return &Job{} }}
 
 // Rank is one MPI process. All methods must be called from within the
@@ -430,14 +430,16 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 	}
 
 	// Environments and job state come from pools: event slabs, process
-	// structs, resume channels, machine/network resources, and Rank
-	// structs are all recycled across campaign jobs. Failed runs
-	// (deadlock, panic) are abandoned instead of released, since blocked
-	// rank goroutines may still reference them.
+	// structs and their coroutines, machine/network resources, and Rank
+	// structs are all recycled across campaign jobs. A failed run
+	// (deadlock, panic) still releases its environment, which stops the
+	// blocked ranks' coroutines and drops the environment; the Job is
+	// dropped too.
 	env := sim.AcquireEnv()
 	job := jobPool.Get().(*Job)
 	job.init(sim.UniRouter{E: env}, cfg, body)
 	if err := env.Run(); err != nil {
+		sim.ReleaseEnv(env)
 		return Result{}, err
 	}
 	u := job.sys.Usage()
@@ -459,8 +461,8 @@ func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 	job.init(eng, cfg, body)
 	job.attachOracle(eng, nodes)
 	if err := eng.Run(); err != nil {
-		// Failed runs abandon the job (blocked rank goroutines may still
-		// reference it); the engine releases what stayed clean.
+		// Failed runs drop the job; the engine stops the blocked ranks'
+		// coroutines and releases what stayed clean.
 		eng.Release()
 		return Result{}, err
 	}

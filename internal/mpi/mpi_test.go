@@ -3,8 +3,10 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/trace"
@@ -318,15 +320,39 @@ func TestConsecutiveCollectivesDoNotCrossMatch(t *testing.T) {
 	})
 }
 
+// TestDeadlockIsReported runs a deadlocking job repeatedly on the serial
+// and the partitioned engine. Every run must report the deadlock, and
+// the failed runs must not leak the parked ranks' coroutines.
 func TestDeadlockIsReported(t *testing.T) {
-	err := func() error {
-		_, err := Run(Config{Cluster: machine.ClusterA(), Ranks: 2}, func(r *Rank) {
-			r.Recv(1-r.ID(), 0) // both receive first: deadlock
+	const runs = 50
+	cluster := machine.ClusterA()
+	cpn := cluster.CPU.CoresPerNode()
+	for name, cfg := range map[string]Config{
+		"serial":      {Cluster: cluster, Ranks: 2},
+		"partitioned": {Cluster: cluster, Ranks: cpn + 1, SimWorkers: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for i := 0; i < runs; i++ {
+				_, err := Run(cfg, func(r *Rank) {
+					peer := cfg.Ranks - 1 - r.ID()
+					if peer != r.ID() {
+						r.Recv(peer, 0) // both receive first: deadlock
+					}
+				})
+				if err == nil {
+					t.Fatal("mutual Recv did not report deadlock")
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines alive after %d deadlocked runs, want at most %d", n, runs, base)
+				}
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
 		})
-		return err
-	}()
-	if err == nil {
-		t.Fatal("mutual Recv did not report deadlock")
 	}
 }
 

@@ -186,18 +186,53 @@ func TestEnvPoolReuse(t *testing.T) {
 }
 
 // TestReleaseEnvRejectsDirtyEnv verifies failed runs are not recycled:
-// a deadlocked environment keeps parked goroutines alive and must not
-// reach the pool.
+// a deadlocked environment must not reach the pool, and releasing it
+// stops its parked process.
 func TestReleaseEnvRejectsDirtyEnv(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("stuck", func(p *Proc) { p.Park("forever") })
+	p := e.Spawn("stuck", func(p *Proc) { p.Park("forever") })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
 	if e.clean() {
 		t.Fatal("deadlocked env reported clean")
 	}
-	ReleaseEnv(e) // must be a no-op; nothing to assert beyond not panicking
+	ReleaseEnv(e)
+	if p.next != nil {
+		t.Fatal("released deadlocked env kept its process coroutine")
+	}
+}
+
+// TestPooledSpawnReusesCoroutines pins coroutine reuse: once a pooled
+// environment has run N processes, acquiring it again and spawning and
+// running N processes allocates nothing. Creating a coroutine per Spawn
+// costs several allocations per process and fails this test.
+func TestPooledSpawnReusesCoroutines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	const procs = 32
+	body := func(p *Proc) {
+		p.Wait(1)
+		p.Park("token") // consumes the wake below without blocking
+	}
+	run := func() {
+		e := AcquireEnv()
+		for i := 0; i < procs; i++ {
+			p := e.Spawn("p", body)
+			e.Wake(p)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseEnv(e)
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if a := testing.AllocsPerRun(50, run); a != 0 {
+		t.Fatalf("pooled Spawn+Run of %d processes allocates %v objects/op, want 0", procs, a)
+	}
 }
 
 // TestRetimeFlowKeepsOrder pins the determinism contract of in-place

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -45,11 +47,12 @@ func (s ProcState) String() string {
 }
 
 // Env is a discrete-event simulation environment: a virtual clock, an event
-// queue, and a set of processes. An Env must be created with NewEnv (or
-// taken from the pool with AcquireEnv). It is not safe for concurrent use
-// from multiple OS threads; all interaction happens either from the
-// goroutine that calls Run or from within process functions (which the
-// scheduler serializes).
+// queue, and a set of processes, each a coroutine. An Env must be created
+// with NewEnv (or taken from the pool with AcquireEnv). It is not safe for
+// concurrent use; all interaction happens either from the goroutine that
+// calls Run or from within process functions, which run only while the
+// scheduler has switched to them. Successive Run calls may come from
+// different goroutines as long as they do not overlap.
 type Env struct {
 	now float64
 	seq uint64
@@ -69,9 +72,12 @@ type Env struct {
 	procs    []*Proc
 	procFree []*Proc
 	current  *Proc
-	yieldCh  chan struct{}
 	failure  error
 	stopped  bool
+	// token is the pool entry of an environment taken with AcquireEnv,
+	// held while it is in use and nil otherwise. Its presence is what
+	// makes finished processes keep their coroutines for reuse.
+	token *envToken
 
 	// flowChunk bump-allocates Flow structs for this run's resources;
 	// the chunks are dropped at reset, so flows never alias across runs.
@@ -95,33 +101,77 @@ type OutputOracle interface {
 	EarliestOutputTime() float64
 }
 
-// NewEnv returns an empty environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{yieldCh: make(chan struct{})}
+// NewEnv returns an empty environment with the clock at zero. Its
+// processes' coroutines exit when the processes finish, so a cleanly
+// finished environment can simply be dropped.
+func NewEnv() *Env { return &Env{} }
+
+// envToken is what envPool holds: a handle to an idle environment that
+// the environment's own coroutines cannot reach. Idle coroutines keep
+// their Env reachable, so a pooled Env is never garbage itself; when the
+// pool drops the token instead, the cleanup registered on it stops the
+// coroutines and the Env becomes garbage with them.
+type envToken struct{ env *Env }
+
+// newEnvToken wraps e in a pool token whose collection stops e's
+// coroutines. The cleanup is registered once per token: while the
+// environment is in use it holds the token (Env.token), so the token
+// can only become unreachable after the pool has dropped it.
+func newEnvToken(e *Env) *envToken {
+	t := &envToken{env: e}
+	runtime.AddCleanup(t, (*Env).stopProcs, e)
+	return t
 }
 
 // envPool recycles environments — and with them event slabs, process
-// structs, and their resume channels — across simulation runs. Campaign
+// structs, and their coroutines — across simulation runs. Campaign
 // workers each acquire their own Env, so pooled reuse is race-free by
 // construction and is exercised under -race by the campaign tests.
-var envPool = sync.Pool{New: func() any { return NewEnv() }}
+var envPool = sync.Pool{New: func() any { return newEnvToken(NewEnv()) }}
 
-// AcquireEnv returns a reset environment from the pool. Release it with
-// ReleaseEnv after Run completes to recycle its buffers.
+// AcquireEnv returns a reset environment from the pool. Finished
+// processes of an acquired environment keep their coroutines parked for
+// the next Spawn, so the environment must go back through ReleaseEnv:
+// dropping it instead leaks those goroutines.
 func AcquireEnv() *Env {
-	return envPool.Get().(*Env)
+	t := envPool.Get().(*envToken)
+	t.env.token = t
+	return t.env
 }
 
-// ReleaseEnv resets e and returns it to the pool. Environments that did
-// not finish cleanly (failed runs, undrained queues, processes still
-// blocked) are abandoned to the garbage collector instead: their
-// goroutines may still hold references to internal state.
+// ReleaseEnv resets e and returns it to the pool. An environment that
+// did not finish cleanly (failed run, undrained queue, processes still
+// blocked) has its process coroutines stopped and is dropped instead:
+// the unwound processes may have left internal state inconsistent.
 func ReleaseEnv(e *Env) {
-	if e == nil || !e.clean() {
+	if e == nil {
+		return
+	}
+	if !e.clean() {
+		e.stopProcs()
 		return
 	}
 	e.reset()
-	envPool.Put(e)
+	t := e.token
+	if t == nil {
+		t = newEnvToken(e)
+	}
+	e.token = nil
+	envPool.Put(t)
+}
+
+// stopProcs stops every process coroutine of the environment. A process
+// blocked mid-function unwinds from its yield (see Proc.yield); a
+// finished one parked for reuse simply returns. It is idempotent, and it
+// must not run while a process of e executes.
+func (e *Env) stopProcs() {
+	for _, ps := range [2][]*Proc{e.procs, e.procFree} {
+		for _, p := range ps {
+			if p.stop != nil {
+				p.stop()
+			}
+		}
+	}
 }
 
 // clean reports whether the environment finished a run with no failure,
@@ -143,7 +193,7 @@ func (e *Env) clean() bool {
 
 // reset rewinds the environment to the zero-time state while keeping all
 // allocated capacity: the event slab, the free list, and finished process
-// structs (whose resume channels are reused by future Spawns).
+// structs (whose coroutines are reused by future Spawns).
 func (e *Env) reset() {
 	e.now, e.seq = 0, 0
 	e.failure = nil
@@ -301,26 +351,32 @@ func (e *Env) AfterArg(d float64, fn func(any), arg any) Event {
 	return e.scheduleArg(e.now+d, fn, arg)
 }
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with other processes in virtual time. Process methods that block (Wait,
-// Park, resource acquisition) must only be called from within the process's
-// own function.
+// Proc is a simulation process: a runtime coroutine (iter.Pull) whose
+// execution is interleaved with other processes in virtual time. Only
+// the scheduler resumes it, and it runs until it yields back. Process
+// methods that block (Wait, Park, resource acquisition) must only be
+// called from within the process's own function.
 type Proc struct {
 	env        *Env
 	id         int
 	name       string
 	state      ProcState
-	resume     chan struct{}
 	wakeTokens int
 	pending    Event // scheduled resume while in StateWaiting
 	parkReason string
 	fn         func(*Proc)
+
+	// next resumes the coroutine until it yields; stop unwinds it;
+	// suspend is the coroutine's yield. All nil while no coroutine exists.
+	next    func() (struct{}, bool)
+	stop    func()
+	suspend func(struct{}) bool
 }
 
 // Spawn creates a process named name executing fn and schedules it to start
 // at the current virtual time. It returns immediately; fn runs once the
 // scheduler reaches the start event during Run. Finished process structs
-// from a previous run of a pooled environment are reused, resume channel
+// from a previous run of a pooled environment are reused, coroutine
 // included.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
@@ -328,7 +384,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		p = e.procFree[n]
 		e.procFree = e.procFree[:n]
 	} else {
-		p = &Proc{env: e, resume: make(chan struct{})}
+		p = &Proc{env: e}
 	}
 	p.id = len(e.procs)
 	p.name = name
@@ -339,46 +395,69 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// startProc launches the process goroutine and immediately hands control to
-// it; the scheduler blocks until the process yields.
+// startProc hands control to a spawned process, creating its coroutine
+// unless the struct kept one from an earlier run; the scheduler resumes
+// once the process yields.
 func (e *Env) startProc(p *Proc) {
-	go p.run()
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.body)
+	}
 	e.transferTo(p)
 }
 
-// run is the body of a process goroutine.
-func (p *Proc) run() {
-	e := p.env
-	<-p.resume
+// stopSignal is the panic value that unwinds a process whose coroutine
+// is stopped while it is blocked.
+type stopSignal struct{}
+
+// body is the coroutine behind a process. It runs fn once per start.
+// On an environment taken from the pool it then yields and waits for
+// the struct's next Spawn, so one coroutine serves every run; otherwise,
+// or once stopped, it returns and the coroutine ends.
+func (p *Proc) body(suspend func(struct{}) bool) {
+	p.suspend = suspend
+	for !p.run() && p.env.token != nil && suspend(struct{}{}) {
+	}
+	p.next, p.stop, p.suspend = nil, nil, nil
+}
+
+// run executes the process function once and reports whether the
+// coroutine was stopped in the middle of it. Any other panic is
+// recovered here, on the process's own stack, and recorded as the run's
+// failure; iter.Pull would otherwise re-raise it on the scheduler.
+func (p *Proc) run() (stopped bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if e.failure == nil {
+			if _, ok := r.(stopSignal); ok {
+				stopped = true
+				return
+			}
+			if e := p.env; e.failure == nil {
 				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
 		}
 		p.state = StateDone
-		e.yieldCh <- struct{}{}
 	}()
 	p.fn(p)
+	return false
 }
 
-// transferTo hands control to p and blocks the scheduler goroutine until p
+// transferTo hands control to p and suspends the scheduler until p
 // yields (parks, waits, or finishes).
 func (e *Env) transferTo(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.state = StateRunning
-	p.resume <- struct{}{}
-	<-e.yieldCh
+	p.next()
 	e.current = prev
 }
 
 // yield returns control from the running process to the scheduler and
-// blocks until the scheduler resumes this process.
+// suspends until the scheduler resumes this process. If the coroutine
+// is stopped instead, it unwinds the process function.
 func (p *Proc) yield() {
-	p.env.yieldCh <- struct{}{}
-	<-p.resume
-	p.state = StateRunning
+	if !p.suspend(struct{}{}) {
+		panic(stopSignal{})
+	}
 }
 
 // mustBeCurrent panics unless p is the currently executing process; all

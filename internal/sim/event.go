@@ -2,9 +2,10 @@
 // engine with a virtual clock.
 //
 // The engine is the substrate for the whole repository: MPI ranks are
-// simulated as processes (goroutines) that advance a shared virtual clock,
-// and hardware resources (memory-domain bandwidth, network links) are
-// modeled as processor-sharing resources in virtual time.
+// simulated as processes (runtime coroutines made with iter.Pull) that
+// advance a shared virtual clock, and hardware resources (memory-domain
+// bandwidth, network links) are modeled as processor-sharing resources
+// in virtual time.
 //
 // Exactly one process executes at any instant; the scheduler hands control
 // to processes in (time, sequence) order, which makes every simulation run

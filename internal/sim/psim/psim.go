@@ -193,9 +193,9 @@ func Acquire(nodes, workers int, lookahead float64) *Engine {
 }
 
 // Release returns clean partition environments to the sim pool and the
-// engine to its own pool. Environments of failed runs are abandoned to
-// the GC (blocked rank goroutines may still reference them), exactly as
-// the serial engine abandons its environment.
+// engine to its own pool. sim.ReleaseEnv stops the process coroutines of
+// a partition a failed run left unclean and drops its environment,
+// exactly as for the serial engine's environment.
 func (g *Engine) Release() {
 	for _, p := range g.parts {
 		sim.ReleaseEnv(p.env)
