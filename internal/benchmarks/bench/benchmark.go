@@ -2,10 +2,12 @@
 // benchmark kernels, their registry, and shared helpers (domain
 // decomposition, halo exchange, cache-availability queries).
 //
-// Each kernel runs real (scaled-down) numerics through the simulated MPI
-// runtime while charging the machine model with paper-scale work: the
-// Options.ScaleDiv divisor shrinks only the in-memory arrays, never the
-// communication structure or the modeled flop/byte counts.
+// Each kernel charges the machine model with paper-scale work and runs
+// real (scaled-down) numerics through the simulated MPI runtime. The real
+// numerics exist to fill RunReport.Checks, so a rank runs them only if a
+// check reads their result: hpgmgfv's solve, which takes no rank input,
+// runs on rank 0 alone, while the other kernels' checks read every rank
+// through halos and global reductions.
 package bench
 
 import (
@@ -58,9 +60,11 @@ type Options struct {
 	// default, typically a handful). Reported results are extrapolated to
 	// the full Table 1 step count via RunReport.RepFactor.
 	SimSteps int
-	// ScaleDiv divides the real in-memory problem geometry (0 = kernel
-	// default). It has no effect on modeled work or communication
-	// structure.
+	// ScaleDiv divides the real in-memory tile of the kernels that size
+	// it from their model tile: cloverleaf, lbm, pot3d, tealeaf and
+	// weather (0 = kernel default). hpgmgfv, minisweep, soma and sphexa
+	// ignore it. It never changes modeled work or communication
+	// structure, but it is part of the job key.
 	ScaleDiv int
 }
 

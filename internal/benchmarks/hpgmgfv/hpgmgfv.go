@@ -10,6 +10,11 @@
 // superlinear speedup is eaten by communication overhead — every level of
 // every V-cycle exchanges halos, and the coarse levels send many tiny,
 // latency-bound messages.
+//
+// Every rank charges the machine model its strong-scaled share of the
+// paper-scale work and sends the per-level halo traffic. Only rank 0 also
+// runs a real scaled-down multigrid solve: it is the verification problem
+// behind the kernel's checks, and no other rank's result would reach one.
 package hpgmgfv
 
 import (
@@ -133,8 +138,11 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 		return (z*py+y)*px + x
 	}
 
-	// Real multigrid solver on a small local grid.
-	mg := newMultigrid(16)
+	// Real multigrid solve on a small grid: rank 0's verification problem.
+	var mg *multigrid
+	if r.ID() == 0 {
+		mg = newMultigrid(16)
+	}
 	var contraction float64
 
 	exchange := func(dst, src int, payload []float64, modelBytes float64, tag int) {
@@ -164,11 +172,16 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 				exchange(rank3(cx, cy-1, cz), rank3(cx, cy+1, cz), digest, face, tag+3)
 			}
 		}
-		before := mg.residualNorm()
-		mg.vCycle()
-		after := mg.residualNorm()
-		if before > 0 {
-			contraction = after / before
+		// The other ranks contribute 0 to the residual Allreduce; its
+		// sum is never read, so timing cannot depend on it.
+		var after float64
+		if mg != nil {
+			before := mg.residualNorm()
+			mg.vCycle()
+			after = mg.residualNorm()
+			if before > 0 {
+				contraction = after / before
+			}
 		}
 		r.Compute(phase)
 		// Global residual norm: the Allreduce of Table 1.

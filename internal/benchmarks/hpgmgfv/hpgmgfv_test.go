@@ -13,20 +13,27 @@ import (
 func runMG(t *testing.T, cs *machine.ClusterSpec, n, steps int) (mpi.Result, bench.RunReport, *trace.Recorder) {
 	t.Helper()
 	rec := trace.NewRecorder(n, false)
+	res, rep := runJob(t, mpi.Config{Cluster: cs, Ranks: n, Trace: rec}, bench.Tiny, steps)
+	return res, rep, rec
+}
+
+// runJob runs one hpgmgfv job and returns rank 0's report.
+func runJob(tb testing.TB, cfg mpi.Config, c bench.Class, steps int) (mpi.Result, bench.RunReport) {
+	tb.Helper()
 	var rep bench.RunReport
-	res, err := mpi.Run(mpi.Config{Cluster: cs, Ranks: n, Trace: rec}, func(r *mpi.Rank) {
-		rr, err := run(r, bench.Tiny, bench.Options{SimSteps: steps})
+	res, err := mpi.Run(cfg, func(r *mpi.Rank) {
+		rr, err := run(r, c, bench.Options{SimSteps: steps})
 		if err != nil {
-			t.Error(err)
+			tb.Error(err)
 		}
 		if r.ID() == 0 {
 			rep = rr
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return res, rep, rec
+	return res, rep
 }
 
 func TestRegistered(t *testing.T) {
@@ -102,5 +109,64 @@ func TestVectorization(t *testing.T) {
 	res, _, _ := runMG(t, machine.ClusterA(), 4, 2)
 	if r := res.Usage.SIMDRatio(); math.Abs(r-0.948) > 0.005 {
 		t.Fatalf("SIMD ratio = %.3f, want 0.948", r)
+	}
+}
+
+func TestRealSolveDoesNotGrowWithRanks(t *testing.T) {
+	// Only rank 0's solve reaches a check, so a job builds exactly one
+	// multigrid whatever its rank count.
+	for _, n := range []int{1, 72, 1152} {
+		before := multigridsBuilt.Load()
+		runJob(t, mpi.Config{Cluster: machine.ClusterA(), Ranks: n}, bench.Small, 1)
+		if got := multigridsBuilt.Load() - before; got != 1 {
+			t.Errorf("%d ranks: built %d multigrids per job, want 1", n, got)
+		}
+	}
+}
+
+func TestChecksIndependentOfRanksAndEngine(t *testing.T) {
+	// Check values reach store records, spechpc output and HTTP job
+	// responses; they must not depend on the rank count or the engine.
+	cs := machine.ClusterA()
+	runs := []struct {
+		name string
+		cfg  mpi.Config
+	}{
+		{"p=1", mpi.Config{Cluster: cs, Ranks: 1}},
+		{"p=8", mpi.Config{Cluster: cs, Ranks: 8}},
+		{"p=144 serial", mpi.Config{Cluster: cs, Ranks: 144}},
+		{"p=144 SimWorkers=4", mpi.Config{Cluster: cs, Ranks: 144, SimWorkers: 4}},
+	}
+	var want []bench.Check
+	for i, tc := range runs {
+		res, rep := runJob(t, tc.cfg, bench.Tiny, 2)
+		if tc.cfg.SimWorkers > 1 && !res.Partitioned {
+			t.Fatalf("%s: job did not run on the parallel engine", tc.name)
+		}
+		if !rep.Valid() {
+			t.Fatalf("%s: checks failed: %+v", tc.name, rep.Checks)
+		}
+		if i == 0 {
+			want = rep.Checks
+			continue
+		}
+		if len(rep.Checks) != len(want) {
+			t.Fatalf("%s: %d checks, want %d", tc.name, len(rep.Checks), len(want))
+		}
+		for j, c := range rep.Checks {
+			if c.Name != want[j].Name || math.Float64bits(c.Value) != math.Float64bits(want[j].Value) {
+				t.Errorf("%s: check %q = %v, want %q = %v (p=1)", tc.name, c.Name, c.Value, want[j].Name, want[j].Value)
+			}
+		}
+	}
+}
+
+// BenchmarkLoneJob runs one small-class job at ClusterA's full 1,152
+// ranks for one step: the kernel's cost at the largest rank count.
+func BenchmarkLoneJob(b *testing.B) {
+	cfg := mpi.Config{Cluster: machine.ClusterA(), Ranks: 1152}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runJob(b, cfg, bench.Small, 1)
 	}
 }

@@ -1,9 +1,12 @@
 package hpgmgfv
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // multigrid is a real 3D geometric multigrid solver for the Poisson
-// problem -lap(u) = f with Dirichlet walls on this rank's local grid:
+// problem -lap(u) = f with Dirichlet walls on a small cube:
 // damped-Jacobi smoothing, full-weighting restriction, constant
 // prolongation, V-cycles. Its measurable contraction factor per cycle is
 // the kernel's validation invariant.
@@ -38,8 +41,13 @@ func (l *level) at(u []float64, i, j, k int) float64 {
 	return u[l.idx(i, j, k)]
 }
 
+// multigridsBuilt counts newMultigrid calls, so tests can pin how many
+// real solves a job runs. It is atomic because jobs run concurrently.
+var multigridsBuilt atomic.Int64
+
 // newMultigrid builds a hierarchy from side n (a power of two) down to 4.
 func newMultigrid(n int) *multigrid {
+	multigridsBuilt.Add(1)
 	mg := &multigrid{}
 	for d := n; d >= 4; d /= 2 {
 		mg.levels = append(mg.levels, newLevel(d))

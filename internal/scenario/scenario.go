@@ -117,7 +117,7 @@ type Sweep struct {
 	// SimSteps pins the simulated step count; 0 lets the planner choose
 	// (1 in quick mode, otherwise the kernel default).
 	SimSteps int
-	// ScaleDiv divides the real in-memory geometry (0 = kernel default).
+	// ScaleDiv is bench.Options.ScaleDiv (0 = kernel default).
 	ScaleDiv int
 	// Net overrides the interconnect (nil = the default HDR100 fabric).
 	Net *netsim.Spec
